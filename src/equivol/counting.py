@@ -2,17 +2,31 @@
 
 Two independent routes are implemented:
 
-* the production route counts weight multiplicities by per-coordinate
-  convolution of weight generating functions (exact integer DP), with
-  SU(2) isotypic multiplicities extracted as m(mu) - m(mu+2) from torus
-  weight counts;
+* the production route packs weight generating functions into Python big
+  ints (Kronecker substitution) and lets big-int arithmetic do the exact
+  counting; SU(2) isotypic multiplicities are read off as m(mu) - m(mu+2)
+  from the torus weight counts;
 * :func:`brute_force_oracle` re-derives the same numbers by enumerating
   every monomial basis element, and for SU(2) by computing the kernel
   dimension of the raising operator on each weight space by exact sparse
   Gaussian elimination.
 
-The two must agree everywhere the oracle runs; the verification suites
-assert this.
+The packed representation.  At level k, factor j contributes the
+complete homogeneous polynomial h_{k d_j} in its coordinates' weight
+monomials x^{w_i}.  Each monomial x^w becomes the integer 2^(b * slot(w)):
+weights are first shifted to be nonnegative in every coordinate, then
+laid out in mixed radix over the *product's* per-coordinate span (the
+last coordinate varies fastest), and every slot is b = 8 * nbytes bits,
+enough to hold the total dimension, so no coefficient ever carries into
+its neighbour.  The factor recurrence h_m += x_i * h_(m-1) is then a
+shift-add on ints (run in the box of the factor's own weights, then placed
+into the product's layout), the product over factors is one big-int
+multiply, and the same code serves every torus rank.  The product is
+cached as bytes (:class:`_Packed`); the twist never enters the cache key
+but is applied as an offset when a slot is read.
+
+The two routes must agree everywhere the oracle runs; the verification
+suites check this.
 
 Vocabulary: for a dominant weight mu, ``full_weight_distribution`` maps mu
 to the *multiplicity* N(mu) of the irreducible V_mu, while
@@ -22,14 +36,18 @@ The two coincide for circle powers.
 
 from __future__ import annotations
 
+import struct
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, gcd
+from itertools import product
+from math import comb, gcd, prod
+from typing import NamedTuple
 
 from .model import ProjectiveFactor, Scenario, ScenarioError
 
-# Cap on DP grid cells (degree x weight-range x coordinates); raise for
-# deliberately huge runs.
+# Cap on packed DP cells (degree x packed slots x coordinates, per factor)
+# and on the packed slots of the product; raise for deliberately huge runs.
 DEFAULT_CELL_BUDGET = 60_000_000
 
 ORACLE_BUDGET = 10**6
@@ -41,158 +59,127 @@ class EngineLimit(RuntimeError):
 
 def total_dimension(s: Scenario, k: int) -> int:
     """dim H^0(M, L^k) = prod_j C(n_j + k d_j, n_j)."""
-    return _prod(comb(f.dim + k * d, f.dim) for f, d in zip(s.factors, s.bundle.degrees))
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return prod(comb(f.dim + k * d, f.dim) for f, d in zip(s.factors, s.bundle.degrees))
 
 
 # ---------------------------------------------------------------------------
-# per-factor weight distributions
+# packed weight generating functions
+
+
+class _Packed(NamedTuple):
+    """Torus weight counts of one product of factors at fixed levels, twist
+    excluded: the count of weight w sits in slot sum_i (w_i - lo_i) *
+    prod(spans[i+1:]) of ``raw``, as an ``nbytes``-byte int in native byte
+    order."""
+
+    lo: tuple[int, ...]
+    spans: tuple[int, ...]
+    nbytes: int
+    raw: bytes
+
+
+_ORDER = sys.byteorder
+_SLOT_FORMATS = {struct.calcsize(c): c for c in "BHIQ"}
+
+
+def _complete_homogeneous(shifts: list[int], m: int) -> int:
+    """h_m(2^shift_1, ..., 2^shift_n): the packed sum over the degree-m
+    monomials in coordinates whose weight monomials sit at those bit shifts."""
+    rows = [1] + [0] * m
+    for sh in shifts:
+        for deg in range(1, m + 1):
+            rows[deg] += rows[deg - 1] << sh
+    return rows[m]
+
+
+def _place(h: int, box: list[int], strides: list[int], nbytes: int) -> int:
+    """Move packed `h` from the layout of its own box into the layout with
+    the given strides, one run along the last coordinate at a time."""
+    if len(box) == 1:
+        return h
+    run = box[-1] * nbytes
+    src = h.to_bytes(prod(box) * nbytes, _ORDER)
+    out = bytearray((1 + sum((n - 1) * st for n, st in zip(box, strides))) * nbytes)
+    for j, lead in enumerate(product(*map(range, box[:-1]))):
+        at = nbytes * sum(x * st for x, st in zip(lead, strides))
+        out[at : at + run] = src[j * run : (j + 1) * run]
+    return int.from_bytes(out, _ORDER)
 
 
 @lru_cache(maxsize=None)
-def _dist_1d(ws: tuple[int, ...], m: int, cell_budget: int) -> tuple[int, tuple[int, ...]]:
-    """Distribution of sum(alpha_i * w_i) over degree-m monomials in
-    coordinates of integer weights `ws`.
+def _packed(factors: tuple[ProjectiveFactor, ...], levels: tuple[int, ...], cell_budget: int) -> _Packed:
+    """Weight counts of the degree-`levels` monomials of the product of
+    `factors`, as one packed record.
 
-    Returns (offset, counts) with counts[x - offset] = #monomials of
-    weight x.
+    Each factor's DP runs in the box of its own weights, so a factor that
+    moves in one coordinate only stays as small as at rank 1; it is then
+    placed into the product's layout for the multiply.
     """
-    ws = list(ws)
-    lo, hi = m * min(ws + [0]), m * max(ws + [0])
-    size = hi - lo + 1
-    if (m + 1) * size * len(ws) > cell_budget:
-        raise EngineLimit(
-            f"weight DP needs {(m + 1) * size * len(ws)} cells > budget {cell_budget}"
-        )
-    grid = [[0] * size for _ in range(m + 1)]
-    grid[0][-lo] = 1
-    for w in ws:
-        for deg in range(1, m + 1):
-            row, prev = grid[deg], grid[deg - 1]
-            if w >= 0:
-                row[w:] = [a + b for a, b in zip(row[w:], prev[: size - w])]
-            else:
-                row[:w] = [a + b for a, b in zip(row[:w], prev[-w:])]
-    counts = grid[m]
-    return lo, tuple(counts)
+    wss = [f.torus_weights() for f in factors]
+    axes = range(len(wss[0][0]))
+    mins = [[min(w[i] for w in ws) for i in axes] for ws in wss]
+    boxes = [
+        [1 + m * (max(w[i] for w in ws) - a[i]) for i in axes] for ws, m, a in zip(wss, levels, mins)
+    ]
+    lo = tuple(sum(m * a[i] for m, a in zip(levels, mins)) for i in axes)
+    spans = tuple(1 + sum(box[i] - 1 for box in boxes) for i in axes)
+    nslots = prod(spans)
+    if nslots > cell_budget:
+        raise EngineLimit(f"packed weight counts need {nslots} slots > budget {cell_budget}")
+    total = prod(comb(f.dim + m, f.dim) for f, m in zip(factors, levels))
+    nbytes = max(1, (total.bit_length() + 7) // 8)
+    strides = [prod(spans[i + 1 :]) for i in axes]
+    packed = 1
+    for ws, m, a, box in zip(wss, levels, mins, boxes):
+        cells = (m + 1) * len(ws) * prod(box)
+        if cells > cell_budget:
+            raise EngineLimit(f"weight DP needs {cells} cells > budget {cell_budget}")
+        box_strides = [prod(box[i + 1 :]) for i in axes]
+        shifts = [8 * nbytes * sum((w[i] - a[i]) * box_strides[i] for i in axes) for w in ws]
+        packed *= _place(_complete_homogeneous(shifts, m), box, strides, nbytes)
+    return _Packed(lo, spans, nbytes, packed.to_bytes(nslots * nbytes, _ORDER))
 
 
-def _factor_dist_1d(factor: ProjectiveFactor, m: int, cell_budget: int):
-    return _dist_1d(tuple(w[0] for w in factor.torus_weights()), m, cell_budget)
+def _level(s: Scenario, k: int, cell_budget: int) -> tuple[_Packed, tuple[int, ...]]:
+    """The packed counts of level k, and the bundle's character c (zero
+    when it has none); weights are read at an offset of k*c."""
+    p = _packed(s.factors, tuple([k * d for d in s.bundle.degrees]), cell_budget)
+    return p, s.bundle.twist or (0,) * len(p.lo)
 
 
-@lru_cache(maxsize=None)
-def _dist_nd(ws: tuple[tuple[int, ...], ...], m: int) -> dict:
-    """Dict-backed DP over genuinely multi-dimensional weights."""
-    r = len(ws[0])
-    zero = (0,) * r
-    grid = [dict() for _ in range(m + 1)]
-    grid[0][zero] = 1
-    for w in ws:
-        for deg in range(1, m + 1):
-            row, prev = grid[deg], grid[deg - 1]
-            for x, c in prev.items():
-                y = tuple(a + b for a, b in zip(x, w))
-                row[y] = row.get(y, 0) + c
-    return grid[m]
-
-
-@lru_cache(maxsize=None)
-def _factor_dist_nd(factor: ProjectiveFactor, m: int) -> dict:
-    """Rank >= 2 factor distribution; coordinates where all weights agree
-    contribute the constant m * w and are split off so the DP runs in the
-    genuinely varying dimensions only."""
-    ws = factor.torus_weights()
-    r = len(ws[0])
-    varying = [i for i in range(r) if len({w[i] for w in ws}) > 1]
-    base = [m * ws[0][i] for i in range(r)]
-    if not varying:
-        return {tuple(base): 1}
-    if len(varying) == 1:
-        i = varying[0]
-        off, counts = _dist_1d(tuple(w[i] for w in ws), m, DEFAULT_CELL_BUDGET)
-        out = {}
-        for idx, c in enumerate(counts):
-            if c:
-                key = list(base)
-                key[i] = off + idx
-                out[tuple(key)] = c
-        return out
-    proj = tuple(tuple(w[i] for i in varying) for w in ws)
-    out = {}
-    for x, c in _dist_nd(proj, m).items():
-        key = list(base)
-        for i, xi in zip(varying, x):
-            key[i] = xi
-        out[tuple(key)] = c
-    return out
-
-
-@lru_cache(maxsize=None)
-def _product_dist_1d(
-    factors: tuple[ProjectiveFactor, ...], levels: tuple[int, ...], cell_budget: int
-) -> tuple[int, tuple[int, ...]]:
-    """Convolution over factors of rank-1 distributions (no twist applied)."""
-    off, counts = _factor_dist_1d(factors[0], levels[0], cell_budget)
-    counts = list(counts)
-    for f, m in zip(factors[1:], levels[1:]):
-        off2, c2 = _factor_dist_1d(f, m, cell_budget)
-        out = [0] * (len(counts) + len(c2) - 1)
-        for i, a in enumerate(counts):
-            if a:
-                for j, b in enumerate(c2):
-                    if b:
-                        out[i + j] += a * b
-        off += off2
-        counts = out
-    return off, tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _product_dist_nd(factors: tuple[ProjectiveFactor, ...], levels: tuple[int, ...]) -> dict:
-    dist = _factor_dist_nd(factors[0], levels[0])
-    for f, m in zip(factors[1:], levels[1:]):
-        d2 = _factor_dist_nd(f, m)
-        out: dict = {}
-        for x, a in dist.items():
-            for y, b in d2.items():
-                z = tuple(p + q for p, q in zip(x, y))
-                out[z] = out.get(z, 0) + a * b
-        dist = out
-    return dist
+def _slots(p: _Packed) -> tuple[int, ...]:
+    fmt = _SLOT_FORMATS.get(p.nbytes)
+    if fmt:
+        return tuple(memoryview(p.raw).cast(fmt))
+    nb = p.nbytes
+    return tuple(int.from_bytes(p.raw[i : i + nb], _ORDER) for i in range(0, len(p.raw), nb))
 
 
 def torus_weight_counts(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUDGET):
     """Torus-weight multiplicity function of H^0(M, L^k), twist included.
 
-    Rank 1 returns (offset, counts tuple); rank >= 2 returns a dict keyed
-    by weight vectors.
+    Rank 1 returns (offset, counts tuple) over the hull of the weights;
+    rank >= 2 returns a dict keyed by the weight vectors of the support.
     """
-    levels = tuple(k * d for d in s.bundle.degrees)
-    shift = tuple(k * c for c in s.bundle.twist) if s.bundle.twist else None
-    if s.group.torus_rank == 1:
-        off, counts = _product_dist_1d(s.factors, levels, cell_budget)
-        if shift:
-            off += shift[0]
-        return off, counts
-    dist = _product_dist_nd(s.factors, levels)
-    if shift and any(shift):
-        dist = {tuple(a + b for a, b in zip(x, shift)): c for x, c in dist.items()}
-    return dist
+    p, twist = _level(s, k, cell_budget)
+    counts = _slots(p)
+    if len(p.spans) == 1:
+        return p.lo[0] + k * twist[0], counts
+    axes = [range(a + k * c, a + k * c + n) for a, c, n in zip(p.lo, twist, p.spans)]
+    return {w: c for w, c in zip(product(*axes), counts) if c}
 
 
-def _weight_count(s: Scenario, k: int, mu_vec: tuple[int, ...], cell_budget: int) -> int:
-    if s.group.torus_rank == 1:
-        off, counts = torus_weight_counts(s, k, cell_budget)
-        i = mu_vec[0] - off
-        return counts[i] if 0 <= i < len(counts) else 0
-    return torus_weight_counts(s, k, cell_budget).get(mu_vec, 0)
+def _weight_count(p: _Packed, vec, k: int, twist) -> int:
+    """Count of weight `vec` in the level-k counts `p` of a bundle with
+    character `twist`, read from one slot."""
+    idx = 0
+    for x, c, a, n in zip(vec, twist, p.lo, p.spans):
+        x -= k * c + a
+        if not 0 <= x < n:
+            return 0
+        idx = idx * n + x
+    nb = p.nbytes
+    return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
 def dim_irrep(s: Scenario, mu) -> int:
@@ -210,13 +197,15 @@ def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CE
     if k < 0:
         raise ScenarioError("tensor power must be >= 0")
     mu_vec = s.weight_vec(mu)
+    p, twist = _level(s, k, cell_budget)
     if not s.group.is_su2:
-        return _weight_count(s, k, mu_vec, cell_budget)
+        return _weight_count(p, mu_vec, k, twist)
     v = mu_vec[0]
     if v < 0:
         raise ScenarioError("su2 highest weights must be >= 0")
-    n = _weight_count(s, k, (v,), cell_budget) - _weight_count(s, k, (v + 2,), cell_budget)
-    assert n >= 0, f"su2 weight distribution not unimodal at mu={v}, k={k}: engine bug"
+    n = _weight_count(p, (v,), k, twist) - _weight_count(p, (v + 2,), k, twist)
+    if n < 0:
+        raise RuntimeError(f"su2 weight distribution not unimodal at mu={v}, k={k}: engine bug")
     return n
 
 
@@ -231,22 +220,18 @@ def full_weight_distribution(s: Scenario, k: int, cell_budget: int = DEFAULT_CEL
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    if not s.group.is_su2:
-        if s.group.torus_rank == 1:
-            off, counts = torus_weight_counts(s, k, cell_budget)
-            return {off + i: c for i, c in enumerate(counts) if c}
-        return {s.weight_key(x): c for x, c in torus_weight_counts(s, k, cell_budget).items() if c}
+    if s.group.torus_rank > 1:
+        return torus_weight_counts(s, k, cell_budget)
     off, counts = torus_weight_counts(s, k, cell_budget)
-
-    def m_of(w: int) -> int:
-        i = w - off
-        return counts[i] if 0 <= i < len(counts) else 0
-
+    if not s.group.is_su2:
+        return {off + i: c for i, c in enumerate(counts) if c}
+    # torus weights of su2 are symmetric about 0, so counts[-off] is weight 0
+    counts = counts[-off:] + (0, 0)
     out = {}
-    top = off + len(counts) - 1
-    for mu in range(0, top + 1):
-        n = m_of(mu) - m_of(mu + 2)
-        assert n >= 0, f"su2 weight distribution not unimodal at mu={mu}, k={k}: engine bug"
+    for mu in range(len(counts) - 2):
+        n = counts[mu] - counts[mu + 2]
+        if n < 0:
+            raise RuntimeError(f"su2 weight distribution not unimodal at mu={mu}, k={k}: engine bug")
         if n:
             out[mu] = n
     return out
@@ -300,7 +285,7 @@ def brute_force_oracle(s: Scenario, k: int, budget: int = ORACLE_BUDGET) -> dict
     dim W_mu - rank(E|_{W_mu}).
 
     Only feasible for small total dimension (default bound 10^6 basis
-    monomials); meant as an independent check of the convolution engine.
+    monomials); meant as an independent check of the packed counting engine.
     """
     total = total_dimension(s, k)
     if total > budget:
@@ -376,7 +361,8 @@ def _su2_oracle(s: Scenario, k: int) -> dict:
                     r = rows.setdefault(row, {})
                     r[col] = r.get(col, 0) + b * coeff
         n = dim_mu - _sparse_rank(list(rows.values()))
-        assert n >= 0
+        if n < 0:
+            raise RuntimeError(f"raising operator has rank above dim W_{mu} = {dim_mu}: oracle bug")
         if n:
             out[mu] = n
     return out
@@ -412,10 +398,8 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
     return rank
 
 
-def check_conservation(s: Scenario, k: int) -> None:
-    """Assert total-dimension conservation of the isotypic decomposition."""
-    dist = full_weight_distribution(s, k)
-    lhs = sum(dim_irrep(s, mu) * n for mu, n in dist.items())
-    rhs = total_dimension(s, k)
-    if lhs != rhs:
-        raise AssertionError(f"conservation violated at k={k}: {lhs} != {rhs}")
+def conservation_sides(s: Scenario, k: int, dist: dict) -> tuple[int, int]:
+    """Both sides of total-dimension conservation for the level-k
+    decomposition `dist` (mu -> N(mu)): the sum of dim(V_mu) * N(mu), and
+    :func:`total_dimension`."""
+    return sum(dim_irrep(s, mu) * n for mu, n in dist.items()), total_dimension(s, k)

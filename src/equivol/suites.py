@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import geometry
-from .counting import brute_force_oracle, check_conservation, full_weight_distribution, section_dimension
+from .counting import brute_force_oracle, conservation_sides, full_weight_distribution, section_dimension
 from .model import LinearizedBundle, Scenario, scenario_power, with_bundle
 from .tables import render_rational, render_weight
 from .volumes import (
@@ -162,7 +162,8 @@ def suite_oracle(corpus, params=DEFAULT_PARAMS, k_max: int = 8) -> SuiteReport:
                     {} if ok else {"engine": str(engine), "oracle": str(oracle)},
                 )
             )
-            check_conservation(s, k)
+            lhs, rhs = conservation_sides(s, k, engine)
+            records.append(CheckRecord(name, f"conservation at k={k}", str(lhs), str(rhs), lhs == rhs))
     return SuiteReport("oracle", [n for n, _ in corpus], records)
 
 

@@ -1,10 +1,12 @@
 """Multiplicity engine against the brute-force oracle and pinned values.
 
 The oracle (explicit monomial enumeration; raising-operator kernel ranks
-for SU(2)) is the independent route: everything the convolution engine
+for SU(2)) is the independent route: everything the packed counting engine
 produces is checked against it on small levels before any asymptotics are
 trusted.
 """
+
+import json
 
 import pytest
 
@@ -15,17 +17,21 @@ from equivol import (
     full_weight_distribution,
     isotypic_multiplicity,
     isotypic_table,
+    scenario_from_dict,
     section_dimension,
     su2_scenario,
     total_dimension,
 )
-from equivol.counting import check_conservation
+from equivol.cli import main
+from equivol.counting import conservation_sides
 
 
 def assert_oracle_agrees(s, k_range):
     for k in k_range:
-        assert full_weight_distribution(s, k) == brute_force_oracle(s, k), f"k={k}"
-        check_conservation(s, k)
+        dist = full_weight_distribution(s, k)
+        assert dist == brute_force_oracle(s, k), f"k={k}"
+        lhs, rhs = conservation_sides(s, k, dist)
+        assert lhs == rhs, f"k={k}"
 
 
 def test_p1_distribution_small(p1_hyperplane):
@@ -150,3 +156,35 @@ def test_isotypic_table_support(p1_hyperplane):
 def test_oracle_budget_guard(p2_circle):
     with pytest.raises(EngineLimit):
         brute_force_oracle(p2_circle, 10_000)
+
+
+# a rank-2 factor whose coordinate weights all coincide, beside one that varies
+CONSTANT_FACTOR_DOC = {
+    "group": "circle_power",
+    "g": 2,
+    "factors": [
+        {"dim": 1, "weights": [[1, 0], [-1, 0]]},
+        {"dim": 1, "weights": [[0, 1], [0, 1]]},
+    ],
+    "bundle": {"degrees": [1, 1], "twist": [0, -1]},
+}
+
+
+def test_rank2_constant_factor_counts_all_monomials(tmp_path, capsys):
+    s = scenario_from_dict(CONSTANT_FACTOR_DOC)
+    assert_oracle_agrees(s, range(0, 4))
+    path = tmp_path / "constant_factor.json"
+    path.write_text(json.dumps(CONSTANT_FACTOR_DOC))
+    assert main(["table", "--scenario", str(path), "--k-max", "2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert {dim for k, *_, dim in rows if k == "1"} == {"2"}
+    assert {dim for k, *_, dim in rows if k == "2"} == {"3"}
+
+
+def test_rank2_cell_budget_guard():
+    s = circle_scenario([[(1000, 0), (-1000, 0)], [(0, 1000), (0, -1000)]], [1, 1])
+    with pytest.raises(EngineLimit):
+        section_dimension(s, 50, (0, 0), cell_budget=10**6)
+    with pytest.raises(EngineLimit):
+        full_weight_distribution(s, 50)
+    assert section_dimension(s, 1, (1000, 1000)) == 1

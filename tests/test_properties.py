@@ -1,0 +1,92 @@
+"""Property tests: the packed counting engine against the brute-force oracle
+on random small scenarios of every torus rank, with negative weights,
+constant coordinates and twists.
+
+Examples are derandomized; their number is bounded for run time only.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equivol import (
+    brute_force_oracle,
+    circle_scenario,
+    full_weight_distribution,
+    section_dimension,
+    su2_scenario,
+)
+from equivol.counting import conservation_sides, dim_irrep
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+LEVELS = st.integers(0, 3)
+
+
+@st.composite
+def rank1_scenarios(draw):
+    factors = draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=3), min_size=1, max_size=2))
+    degrees = draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
+    return circle_scenario(factors, degrees, twist=draw(st.integers(-2, 2)))
+
+
+@st.composite
+def rank2_scenarios(draw):
+    factors = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 3))
+        axes = []
+        for _ in range(2):
+            if draw(st.booleans()):  # a coordinate on which every weight agrees
+                axes.append([draw(st.integers(-2, 2))] * n)
+            else:
+                axes.append(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        factors.append(list(zip(*axes)))
+    degrees = draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
+    twist = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    return circle_scenario(factors, degrees, twist=twist)
+
+
+@st.composite
+def su2_scenarios(draw):
+    blocks = st.lists(st.integers(0, 3), min_size=1, max_size=2).filter(lambda b: sum(b) + len(b) >= 2)
+    factors = draw(st.lists(blocks, min_size=1, max_size=2))
+    degrees = draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
+    return su2_scenario(factors, degrees)
+
+
+def _vec(mu):
+    return mu if isinstance(mu, tuple) else (mu,)
+
+
+def check_engine(s, k):
+    dist = full_weight_distribution(s, k)
+    assert dist == brute_force_oracle(s, k)
+    lhs, rhs = conservation_sides(s, k, dist)
+    assert lhs == rhs
+    # every weight of the support's bounding box, one step wider
+    support = [_vec(mu) for mu in dist]
+    axes = [range(min(c) - 1, max(c) + 2) for c in zip(*support)]
+    for vec in product(*axes):
+        mu = s.weight_key(vec)
+        if s.group.is_su2 and mu < 0:
+            continue
+        assert section_dimension(s, k, mu) == dist.get(mu, 0) * dim_irrep(s, mu), (k, mu)
+
+
+@SETTINGS
+@given(rank1_scenarios(), LEVELS)
+def test_rank1_engine_matches_oracle(s, k):
+    check_engine(s, k)
+
+
+@SETTINGS
+@given(rank2_scenarios(), LEVELS)
+def test_rank2_engine_matches_oracle(s, k):
+    check_engine(s, k)
+
+
+@SETTINGS
+@given(su2_scenarios(), LEVELS)
+def test_su2_engine_matches_oracle(s, k):
+    check_engine(s, k)

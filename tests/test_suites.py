@@ -1,9 +1,15 @@
 """Verification suites over the shipped corpus."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import equivol
+from equivol import suites
 from equivol.suites import SUITE_NAMES, run_suite
 
 
@@ -63,3 +69,27 @@ def test_homogeneity_p2_values(p2_circle):
 
     assert equivariant_volume(scenario_power(p2_circle, 3), 1).value == Fraction(3, 2)
     assert equivariant_volume(scenario_power(p2_circle, 5), 1).value == Fraction(5, 2)
+
+
+def test_oracle_records_broken_conservation(monkeypatch, p1_hyperplane):
+    # engine and oracle agree on a distribution that has lost a monomial
+    def lossy(s, k):
+        return {0: 1}
+
+    monkeypatch.setattr(suites, "full_weight_distribution", lossy)
+    monkeypatch.setattr(suites, "brute_force_oracle", lossy)
+    rep = run_suite("oracle", [("p1", p1_hyperplane)])
+    assert not rep.passed
+    bad = [r for r in rep.records if not r.passed]
+    assert [r.claim for r in bad] == [f"conservation at k={k}" for k in range(1, 9)]
+    assert (bad[0].lhs, bad[0].rhs) == ("1", "2")
+
+
+def test_oracle_suite_under_optimized_python():
+    src = str(Path(equivol.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "equivol.cli", "verify", "--suite", "oracle"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
