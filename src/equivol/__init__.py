@@ -39,7 +39,6 @@ from .geometry import (
     StabilizerData,
     classify_stability,
     dh_slice_volume,
-    dim_V_mu,
     generic_stabilizer,
     moment_image,
     numerically_compatible,

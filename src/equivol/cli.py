@@ -10,7 +10,8 @@
 
 Every command is a pure function of the scenario document and flags;
 repeated runs emit byte-identical tables.  Exit codes: 0 success, 1 check
-failure or a not-stabilized estimate, 2 input error.
+failure or a not-stabilized estimate, 2 input error or an exceeded engine
+limit (EngineLimit).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import sys
 
 from . import geometry, suites, tables
 from .corpus import default_corpus
-from .counting import isotypic_table, section_dimension
+from .counting import EngineLimit, full_weight_distribution, isotypic_table, section_dimension
 from .model import Scenario, ScenarioError, UnsupportedScenario, scenario_from_dict
 from .tables import render_rational, render_weight
-from .volumes import DEFAULT_PARAMS, FitParams, equivariant_volume, g_exponent, volume_table
+from .volumes import DEFAULT_PARAMS, FitParams, equivariant_volume, g_exponent
 
 
 class InputError(Exception):
@@ -45,7 +46,7 @@ def load_scenario(path: str) -> Scenario:
         raise InputError(f"scenario {path}: {exc}") from exc
 
 
-def _parse_mu(text: str, s: Scenario):
+def _parse_mu(text: str):
     try:
         if "," in text:
             return tuple(int(x) for x in text.strip("()").split(","))
@@ -62,19 +63,12 @@ def _parse_mu_range(text: str, s: Scenario):
         raise InputError(f"cannot parse range {text!r}; expected a..b") from exc
     if lo > hi:
         raise InputError(f"empty range {text!r}")
-    if s.group.is_su2:
-        lo = max(lo, 0)
-        return list(range(lo, hi + 1))
-    if s.group.dim == 1:
-        return list(range(lo, hi + 1))
-    span = range(lo, hi + 1)
-    return [tuple(v) for v in _box(span, s.group.dim)]
+    return s.weights_in_box(lo, hi)
 
 
-def _box(span, g):
-    if g == 1:
-        return [(x,) for x in span]
-    return [(x,) + rest for x in span for rest in _box(span, g - 1)]
+def _mus(args, s: Scenario):
+    """The weights of --mu-range, or the default window."""
+    return _parse_mu_range(args.mu_range, s) if args.mu_range else s.default_mus()
 
 
 def _emit(rows, fieldnames, args):
@@ -83,15 +77,13 @@ def _emit(rows, fieldnames, args):
     else:
         text = tables.to_csv(rows, fieldnames)
     tables.emit(text, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
 
 
 def _params(args) -> FitParams:
     kw = {}
-    if getattr(args, "k_max", None):
+    if getattr(args, "k_max", None) is not None:
         kw["m_max"] = args.k_max
-    if getattr(args, "p_max", None):
+    if getattr(args, "p_max", None) is not None:
         kw["period_factor_max"] = args.p_max
     return FitParams(**kw) if kw else DEFAULT_PARAMS
 
@@ -99,16 +91,14 @@ def _params(args) -> FitParams:
 def cmd_multiplicity(args) -> int:
     s = load_scenario(args.scenario)
     if args.all_mu:
-        from .counting import dim_irrep, full_weight_distribution
-
         items = [
-            ((args.k, mu), n * dim_irrep(s, mu))
+            ((args.k, mu), n * s.dim_irrep(mu))
             for mu, n in full_weight_distribution(s, args.k).items()
         ]
     else:
         if args.mu is None:
             raise InputError("multiplicity needs --mu or --all-mu")
-        mu = _parse_mu(args.mu, s)
+        mu = _parse_mu(args.mu)
         items = [((args.k, mu), section_dimension(s, args.k, mu))]
     _emit(tables.multiplicity_rows(s, items), ["k", "mu", "dim"], args)
     return 0
@@ -117,14 +107,15 @@ def cmd_multiplicity(args) -> int:
 def cmd_volume(args) -> int:
     s = load_scenario(args.scenario)
     if args.mu is not None:
-        mus = [_parse_mu(args.mu, s)]
+        mus = [_parse_mu(args.mu)]
     elif args.mu_range is not None:
         mus = _parse_mu_range(args.mu_range, s)
     else:
         raise InputError("volume needs --mu or --mu-range")
-    rows = volume_table(s, mus, _params(args))
-    _emit(tables.volume_rows(s, rows), ["mu", "value", "status", "residue", "period"], args)
-    return 1 if any(est.status == "not_stabilized" for _, est in rows) else 0
+    params = _params(args)
+    pairs = [(mu, equivariant_volume(s, mu, params)) for mu in mus]
+    _emit(tables.volume_rows(s, pairs), ["mu", "value", "status", "residue", "period"], args)
+    return 1 if any(est.status == "not_stabilized" for _, est in pairs) else 0
 
 
 def cmd_exponent(args) -> int:
@@ -140,8 +131,6 @@ def cmd_exponent(args) -> int:
         f"{k}: {v}" for k, v in payload.items()
     ) + "\n"
     tables.emit(text, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
     return 0
 
 
@@ -173,22 +162,12 @@ def cmd_classify(args) -> int:
         pass
     if rep.stability == "unstable_everywhere":
         lines.append("vanishing_bounds:")
-        for mu in (_parse_mu_range(args.mu_range, s) if args.mu_range else _default_mus(s)):
+        for mu in _mus(args, s):
             r = geometry.vanishing_certificate(s, mu)
             lines.append(f"  mu={render_weight(mu)}: r_mu={r}")
     text = "\n".join(lines) + "\n"
     tables.emit(text, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
     return 0
-
-
-def _default_mus(s):
-    if s.group.is_su2:
-        return list(range(0, 7))
-    if s.group.dim == 1:
-        return list(range(-6, 7))
-    return [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
 
 
 def cmd_predict(args) -> int:
@@ -197,14 +176,12 @@ def cmd_predict(args) -> int:
     if rep.stability != "regular":
         raise InputError(f"prediction is defined for regular scenarios, got {rep.stability}")
     params = _params(args)
-    zero = 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-    vol0 = equivariant_volume(s, zero, params)
+    vol0 = equivariant_volume(s, s.zero_weight, params)
     if not vol0.finite:
         print(f"vol_0 did not stabilize: {vol0.status}", file=sys.stderr)
         return 1
-    mus = _parse_mu_range(args.mu_range, s) if args.mu_range else _default_mus(s)
     rows = []
-    for mu in sorted(mus, key=s.weight_vec):
+    for mu in _mus(args, s):
         cert = geometry.numerically_compatible(s, mu)
         predicted = geometry.predicted_volume(s, mu, vol0.value)
         rows.append(
@@ -232,10 +209,7 @@ def cmd_verify(args) -> int:
         print(rep.summary())
     if args.out or args.format == "json":
         payload = [r.to_dict() for r in reports]
-        text = tables.to_json(payload)
-        tables.emit(text, args.out)
-        if args.out is None:
-            sys.stdout.write(text)
+        tables.emit(tables.to_json(payload), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -314,10 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ScenarioError, UnsupportedScenario) as exc:
+    except (InputError, ScenarioError, UnsupportedScenario, EngineLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -182,16 +182,6 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
-def dim_irrep(s: Scenario, mu) -> int:
-    """dim V_mu: 1 for circle powers, mu+1 for su2."""
-    if s.group.is_su2:
-        v = s.weight_vec(mu)[0]
-        if v < 0:
-            raise ScenarioError("su2 highest weights must be >= 0")
-        return v + 1
-    return 1
-
-
 def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """Multiplicity N(mu) of V_mu inside H^0(M, L^k)."""
     if k < 0:
@@ -200,9 +190,8 @@ def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CE
     p, twist = _level(s, k, cell_budget)
     if not s.group.is_su2:
         return _weight_count(p, mu_vec, k, twist)
+    s.check_dominant(mu)
     v = mu_vec[0]
-    if v < 0:
-        raise ScenarioError("su2 highest weights must be >= 0")
     n = _weight_count(p, (v,), k, twist) - _weight_count(p, (v + 2,), k, twist)
     if n < 0:
         raise RuntimeError(f"su2 weight distribution not unimodal at mu={v}, k={k}: engine bug")
@@ -211,7 +200,7 @@ def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CE
 
 def section_dimension(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """Isotypic dimension dim H^0(M, L^k)_mu = N(mu) * dim V_mu."""
-    return isotypic_multiplicity(s, k, mu, cell_budget) * dim_irrep(s, mu)
+    return isotypic_multiplicity(s, k, mu, cell_budget) * s.dim_irrep(mu)
 
 
 def full_weight_distribution(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> dict:
@@ -250,15 +239,16 @@ class IsotypicTable:
     entries: dict = field(default_factory=dict)
 
     def sorted_items(self):
-        s = self.scenario
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0], s.weight_vec(kv[0][1])))
+        """Entries in (k, weight vector) order: the weights of one table are
+        all ints or all tuples, so their natural order is that order."""
+        return sorted(self.entries.items())
 
 
 def isotypic_table(s: Scenario, k_max: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> IsotypicTable:
     entries = {}
     for k in range(0, k_max + 1):
         for mu, n in full_weight_distribution(s, k, cell_budget).items():
-            entries[(k, mu)] = n * dim_irrep(s, mu)
+            entries[(k, mu)] = n * s.dim_irrep(mu)
     return IsotypicTable(s, k_max, entries)
 
 
@@ -402,4 +392,4 @@ def conservation_sides(s: Scenario, k: int, dist: dict) -> tuple[int, int]:
     """Both sides of total-dimension conservation for the level-k
     decomposition `dist` (mu -> N(mu)): the sum of dim(V_mu) * N(mu), and
     :func:`total_dimension`."""
-    return sum(dim_irrep(s, mu) * n for mu, n in dist.items()), total_dimension(s, k)
+    return sum(s.dim_irrep(mu) * n for mu, n in dist.items()), total_dimension(s, k)

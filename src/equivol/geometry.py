@@ -195,6 +195,14 @@ def _scale_admits(lo, hi, k) -> bool:
     return lo <= k and (hi is None or k <= hi)
 
 
+def supported(s: Scenario) -> bool:
+    """Whether the geometry here covers `s`: single-factor su2, or circle
+    rank <= 2."""
+    if s.group.is_su2:
+        return len(s.factors) == 1
+    return s.group.dim <= 2
+
+
 def moment_image(s: Scenario) -> MomentImage:
     """Weight hull of the bundle: Minkowski sum of d_j-scaled factor hulls
     plus the twist.  For su2 this is the dominant interval."""
@@ -227,7 +235,6 @@ def fixed_point_images(s: Scenario) -> set:
     weight per factor, d-weighted and twisted."""
     if s.group.is_su2:
         raise UnsupportedScenario("fixed-point images are a torus-side computation")
-    g = s.group.dim
     per_factor = [
         {tuple(d * x for x in w) for w in f.weights}
         for f, d in zip(s.factors, s.bundle.degrees)
@@ -235,7 +242,7 @@ def fixed_point_images(s: Scenario) -> set:
     out = set()
     for combo in itertools.product(*per_factor):
         v = tuple(sum(x) + c for x, c in zip(zip(*combo), s.bundle.twist))
-        out.add(v if g > 1 else v[0])
+        out.add(s.weight_key(v))
     return out
 
 
@@ -311,8 +318,7 @@ def classify_stability(s: Scenario) -> StabilityReport:
     stab = generic_stabilizer(s)
     if not stab.finite:
         return StabilityReport(BOUNDARY, img, ON_WALL)
-    zero = (0,) * s.group.dim if s.group.dim > 1 else 0
-    critical = zero in fixed_point_images(s)
+    critical = s.zero_weight in fixed_point_images(s)
     if not critical and s.group.dim == 2:
         critical = _zero_is_critical_rank2(s)
     if critical or not img.zero_interior():
@@ -474,7 +480,8 @@ def bundle_fiber_character(s: Scenario, stab: StabilizerData) -> tuple[int, ...]
     for f, d in zip(s.factors, s.bundle.degrees):
         for w in f.weights:
             delta = tuple(d * (w[i] - f.weights[0][i]) for i in range(g))
-            assert stab.contains(delta), "fiber character depends on the reference coordinate"
+            if not stab.contains(delta):
+                raise RuntimeError("fiber character depends on the reference coordinate")
     return res
 
 
@@ -499,17 +506,6 @@ def numerically_compatible(s: Scenario, mu) -> CompatibilityCertificate:
     return CompatibilityCertificate(stab, chi, mu_res, witness)
 
 
-def dim_V_mu(group, mu) -> int:
-    """1 for circle powers, mu+1 for su2; takes a GroupSpec or Scenario."""
-    is_su2 = group.is_su2 if not isinstance(group, Scenario) else group.group.is_su2
-    if not is_su2:
-        return 1
-    v = mu if isinstance(mu, int) else mu[0]
-    if v < 0:
-        raise ValueError("su2 highest weights must be >= 0")
-    return v + 1
-
-
 def predicted_volume(s: Scenario, mu, vol0: Rational) -> Rational:
     """Closed-form volume on regular scenarios: 0 without a compatibility
     witness, else dim(V_mu)^2 * vol0 (vol0 = counted trivial-weight volume,
@@ -520,7 +516,7 @@ def predicted_volume(s: Scenario, mu, vol0: Rational) -> Rational:
     cert = numerically_compatible(s, mu)
     if not cert.compatible:
         return Fraction(0)
-    return Fraction(dim_V_mu(s, mu)) ** 2 * Fraction(vol0)
+    return Fraction(s.dim_irrep(mu)) ** 2 * Fraction(vol0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +624,8 @@ def dh_slice_volume(s: Scenario) -> Rational:
     basis = _kernel_basis(v)
     coords = [_solve_in_basis(basis, tuple(x - y for x, y in zip(u, verts[0]))) for u in verts]
     if n == 2:
-        assert len(verts) == 2
+        if len(verts) != 2:
+            raise RuntimeError(f"zero-level slice of a regular P^2 has {len(verts)} vertices, not 2")
         return abs(coords[1][0])
 
     # order the polygon around its centroid and take the shoelace sum;
@@ -666,5 +663,5 @@ def vanishing_certificate(s: Scenario, mu) -> int | None:
         r_lo, _ = img.scale_range(mu_vec)
         if r_lo is None:
             return 1
-        raise AssertionError("unbounded scale range although 0 is outside the image")
+        raise RuntimeError("unbounded scale range although 0 is outside the image")
     return r_max + 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 Rational = Fraction
 
@@ -148,6 +149,31 @@ class Scenario:
     def check_dominant(self, mu) -> None:
         if self.group.is_su2 and self.weight_vec(mu)[0] < 0:
             raise ScenarioError("su2 highest weights must be >= 0")
+
+    @property
+    def zero_weight(self):
+        """The trivial weight, where the invariant sections live."""
+        return self.weight_key((0,) * self.group.torus_rank)
+
+    def dim_irrep(self, mu) -> int:
+        """dim V_mu: 1 for circle powers, mu+1 for su2."""
+        if not self.group.is_su2:
+            return 1
+        self.check_dominant(mu)
+        return self.weight_vec(mu)[0] + 1
+
+    def weights_in_box(self, lo: int, hi: int) -> list:
+        """Weights with every coordinate in lo..hi, in lexicographic order;
+        su2 weights start at 0."""
+        if self.group.is_su2:
+            lo = max(lo, 0)
+        return [self.weight_key(v) for v in product(range(lo, hi + 1), repeat=self.group.torus_rank)]
+
+    def default_mus(self, radius: int = 6) -> list:
+        """The dominant weights the verification laws range over: the box of
+        the given radius, clamped to 2 at torus rank >= 2."""
+        r = min(radius, 2) if self.group.torus_rank > 1 else radius
+        return self.weights_in_box(-r, r)
 
 
 def validate_scenario(s: Scenario) -> Scenario:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from . import geometry
 from .counting import brute_force_oracle, conservation_sides, full_weight_distribution, section_dimension
-from .model import LinearizedBundle, Scenario, scenario_power, with_bundle
+from .model import LinearizedBundle, Scenario, scenario_power, tensor_product, with_bundle
 from .tables import render_rational, render_weight
 from .volumes import (
     DEFAULT_PARAMS,
@@ -24,17 +25,6 @@ from .volumes import (
     g_exponent,
     g_semigroup,
     mu_semigroup,
-)
-
-SUITE_NAMES = (
-    "oracle",
-    "homogeneity",
-    "exponent_law",
-    "compatibility",
-    "vanishing",
-    "monotonicity",
-    "translation",
-    "continuity",
 )
 
 
@@ -105,40 +95,11 @@ class SuiteReport:
         return f"suite {self.suite}: {ok}/{total} checks passed"
 
 
-def _geometry_supported(s: Scenario) -> bool:
-    if s.group.is_su2:
-        return len(s.factors) == 1
-    return s.group.dim <= 2
-
-
-def _mu_range(s: Scenario, radius: int = 6):
-    if s.group.is_su2:
-        return list(range(0, radius + 1))
-    if s.group.dim == 1:
-        return list(range(-radius, radius + 1))
-    r = min(radius, 2)
-    return [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
-
-
 def run_suite(name: str, corpus, params: FitParams = DEFAULT_PARAMS) -> SuiteReport:
     """Run one named suite over corpus pairs (label, scenario)."""
-    runners = {
-        "oracle": suite_oracle,
-        "homogeneity": suite_homogeneity,
-        "exponent_law": suite_exponent_law,
-        "compatibility": suite_compatibility,
-        "vanishing": suite_vanishing,
-        "monotonicity": suite_monotonicity,
-        "translation": suite_translation,
-        "continuity": suite_continuity,
-    }
-    if name not in runners:
+    if name not in _RUNNERS:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return runners[name](corpus, params)
-
-
-def run_all_suites(corpus, params: FitParams = DEFAULT_PARAMS):
-    return [run_suite(name, corpus, params) for name in SUITE_NAMES]
+    return _RUNNERS[name](corpus, params)
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +133,13 @@ def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     unconditional trivial-representation law for q in [1, 6]."""
     records = []
     for name, s in corpus:
-        if not _geometry_supported(s):
+        if not geometry.supported(s):
             continue
         D = s.quotient_degree
-        zero = 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-        vol0 = equivariant_volume(s, zero, params)
+        vol0 = equivariant_volume(s, s.zero_weight, params)
         if vol0.finite:
             for q in range(1, 7):
-                lhs = equivariant_volume(scenario_power(s, q), zero, params)
+                lhs = equivariant_volume(scenario_power(s, q), s.zero_weight, params)
                 ok = lhs.finite and lhs.value == Fraction(q) ** D * vol0.value
                 records.append(
                     CheckRecord(
@@ -199,7 +159,7 @@ def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
             if gcd(p, er.exponent) != 1:
                 continue
             sp = scenario_power(s, p)
-            for mu in _mu_range(s, 2):
+            for mu in s.default_mus(2):
                 base = equivariant_volume(s, mu, params)
                 lhs = equivariant_volume(sp, mu, params)
                 ok = (
@@ -250,12 +210,11 @@ def suite_compatibility(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     and positive volumes equal dim(V_mu)^2 vol_0 exactly."""
     records = []
     for name, s in corpus:
-        if not _geometry_supported(s):
+        if not geometry.supported(s):
             continue
         if geometry.classify_stability(s).stability != "regular":
             continue
-        zero = 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-        vol0 = equivariant_volume(s, zero, params)
+        vol0 = equivariant_volume(s, s.zero_weight, params)
         records.append(
             CheckRecord(
                 name,
@@ -267,7 +226,7 @@ def suite_compatibility(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
         )
         if not vol0.positive:
             continue
-        for mu in _mu_range(s):
+        for mu in s.default_mus():
             cert = geometry.numerically_compatible(s, mu)
             est = equivariant_volume(s, mu, params)
             predicted = geometry.predicted_volume(s, mu, vol0.value)
@@ -290,7 +249,7 @@ def suite_vanishing(corpus, params=DEFAULT_PARAMS, k_support: int = 12, k_max: i
     scenarios the counts vanish at and beyond the emitted bound."""
     records = []
     for name, s in corpus:
-        if not _geometry_supported(s):
+        if not geometry.supported(s):
             continue
         img = geometry.moment_image(s)
         bad = []
@@ -310,7 +269,7 @@ def suite_vanishing(corpus, params=DEFAULT_PARAMS, k_support: int = 12, k_max: i
         )
         if geometry.classify_stability(s).stability != "unstable_everywhere":
             continue
-        for mu in _mu_range(s):
+        for mu in s.default_mus():
             r = geometry.vanishing_certificate(s, mu)
             ok = r is not None and all(
                 section_dimension(s, k, mu) == 0 for k in range(r, k_max + 1)
@@ -333,8 +292,6 @@ def _invariantly_effective_bundle(s: Scenario):
     nf = len(s.factors)
     g = 0 if s.group.is_su2 else s.group.dim
     degree_choices = range(1, 4)
-    from itertools import product
-
     twist_choices = [()] if s.group.is_su2 else list(product(range(-3, 4), repeat=g))
     for dmax in degree_choices:
         for degs in product(range(1, dmax + 1), repeat=nf):
@@ -342,8 +299,7 @@ def _invariantly_effective_bundle(s: Scenario):
                 continue
             for tw in twist_choices:
                 cand = LinearizedBundle(degs, tw)
-                zero = 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-                if section_dimension(with_bundle(s, cand), 1, zero) > 0:
+                if section_dimension(with_bundle(s, cand), 1, s.zero_weight) > 0:
                     return cand
     return None
 
@@ -352,19 +308,13 @@ def suite_monotonicity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     """Tensoring with an invariantly effective bundle never shrinks volumes."""
     records = []
     for name, s in corpus:
-        if not _geometry_supported(s):
+        if not geometry.supported(s):
             continue
         aux = _invariantly_effective_bundle(s)
         if aux is None:
             continue
-        bigger = with_bundle(
-            s,
-            LinearizedBundle(
-                tuple(a + b for a, b in zip(s.bundle.degrees, aux.degrees)),
-                tuple(a + b for a, b in zip(s.bundle.twist, aux.twist)),
-            ),
-        )
-        for mu in _mu_range(s, 3):
+        bigger = with_bundle(s, tensor_product(s.bundle, aux))
+        for mu in s.default_mus(3):
             lo = equivariant_volume(s, mu, params)
             hi = equivariant_volume(bigger, mu, params)
             if lo.status == "infinite":
@@ -389,12 +339,12 @@ def suite_translation(corpus, params=DEFAULT_PARAMS, m_max: int = 40) -> SuiteRe
     the invariant semigroup on regular scenarios."""
     records = []
     for name, s in corpus:
-        if not _geometry_supported(s):
+        if not geometry.supported(s):
             continue
         if geometry.classify_stability(s).stability != "regular":
             continue
         gs = g_semigroup(s, m_max)
-        for mu in _mu_range(s, 4):
+        for mu in s.default_mus(4):
             cert = geometry.numerically_compatible(s, mu)
             if not cert.compatible:
                 # no witness: the mu-semigroup must be empty
@@ -498,3 +448,17 @@ def suite_continuity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
         )
     )
     return SuiteReport("continuity", ["p2_family"], records)
+
+
+# the suites by name, in the order `equivol verify` runs them
+_RUNNERS = {
+    "oracle": suite_oracle,
+    "homogeneity": suite_homogeneity,
+    "exponent_law": suite_exponent_law,
+    "compatibility": suite_compatibility,
+    "vanishing": suite_vanishing,
+    "monotonicity": suite_monotonicity,
+    "translation": suite_translation,
+    "continuity": suite_continuity,
+}
+SUITE_NAMES = tuple(_RUNNERS)

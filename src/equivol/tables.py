@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 
@@ -76,9 +77,10 @@ def _encode(obj):
     raise TypeError(f"not JSON-serializable: {obj!r}")
 
 
-def emit(text: str, destination=None) -> str:
-    """Write to a path, or return the text when destination is None."""
-    if destination is not None:
-        with open(destination, "w") as fh:
-            fh.write(text)
-    return text
+def emit(text: str, destination=None) -> None:
+    """Write to a path, or to stdout when destination is None."""
+    if destination is None:
+        sys.stdout.write(text)
+        return
+    with open(destination, "w") as fh:
+        fh.write(text)

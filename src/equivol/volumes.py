@@ -19,7 +19,7 @@ No floating point is used anywhere; all values are Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -50,6 +50,13 @@ class FitParams:
     period_factor_max: int = 24
     start_max: int = 16
     max_samples: int = 600
+
+    def __post_init__(self):
+        for f in fields(self):
+            least = 1 if f.name in ("m_max", "period_factor_max") else 0
+            value = getattr(self, f.name)
+            if value < least:
+                raise ScenarioError(f"fit parameter `{f.name}` must be >= {least}, got {value}")
 
 
 DEFAULT_PARAMS = FitParams()
@@ -102,12 +109,18 @@ class ResidueVolume:
     estimate: VolumeEstimate
 
 
+def _estimate(s: Scenario, value, status: str, fit=None) -> VolumeEstimate:
+    """An estimate for `s`, flagged when n - g < 0 and the normalization
+    degree is clamped to 0."""
+    flags = ("negative_quotient_clamped",) if s.negative_quotient else ()
+    return VolumeEstimate(value, status, fit, flags)
+
+
 def g_semigroup(s: Scenario, m_max: int) -> frozenset[int]:
     """{m in [1, m_max] : L^m has a nonzero invariant section}."""
     if m_max < 1:
         raise ScenarioError("m_max must be >= 1")
-    zero = 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-    return frozenset(m for m in range(1, m_max + 1) if section_dimension(s, m, zero) > 0)
+    return frozenset(m for m in range(1, m_max + 1) if section_dimension(s, m, s.zero_weight) > 0)
 
 
 def mu_semigroup(s: Scenario, mu, m_max: int) -> frozenset[int]:
@@ -222,7 +235,8 @@ def _fit_subprogression(h, rho, t, target_deg, deg_cap, m_floor, params):
             k0 = h.f + (rho + j0 * t) * h.e
             if deg > target_deg:
                 lead = Fraction(_nth_diff(ys, deg)[0])
-                assert lead > 0, "degree overshoot with nonpositive leading term"
+                if lead <= 0:
+                    raise RuntimeError(f"degree overshoot with leading term {lead} <= 0: fitter bug")
                 fd = FitData(h.f, P, k0, tuple(ys), deg, lead / P**deg)
                 return deg, None, fd
             coeff = Fraction(_nth_diff(ys, target_deg)[0]) / Fraction(P) ** target_deg
@@ -234,31 +248,26 @@ def _fit_subprogression(h, rho, t, target_deg, deg_cap, m_floor, params):
 def residue_volume(s: Scenario, mu, f: int, params: FitParams = DEFAULT_PARAMS) -> ResidueVolume:
     """limsup of (n-g)! h^0_mu(L^k)/k^(n-g) along k = f (mod e_G(L))."""
     s.check_dominant(mu)
-    flags = ("negative_quotient_clamped",) if s.negative_quotient else ()
-    img = geometry.moment_image(s)
     e = g_exponent(s, params.m_max).exponent
-    if e is None:
-        if not img.contains_zero():
-            return ResidueVolume(f, VolumeEstimate(Fraction(0), ZERO, flags=flags))
-        return ResidueVolume(f, VolumeEstimate(None, NOT_STABILIZED, flags=flags))
-    return _residue_volume_with_exponent(s, mu, f, e, params)
+    if e is not None:
+        return _residue_volume_with_exponent(s, mu, f, e, params)
+    if geometry.moment_image(s).contains_zero():
+        return ResidueVolume(f, _estimate(s, None, NOT_STABILIZED))
+    return ResidueVolume(f, _estimate(s, Fraction(0), ZERO))
 
 
 def _residue_volume_with_exponent(
     s: Scenario, mu, f: int, e: int, params: FitParams
 ) -> ResidueVolume:
-    flags = ("negative_quotient_clamped",) if s.negative_quotient else ()
     img = geometry.moment_image(s)
     f = f % e
 
     mu_vec = s.weight_vec(mu)
     k_min, k_max = img.scale_range(mu_vec)
-    if k_min is None:
-        # mu outside every dilate of the image: identically zero class
-        return ResidueVolume(f, VolumeEstimate(Fraction(0), ZERO, flags=flags))
-    if k_max is not None:
-        # support is finite, dimension sequence is eventually zero
-        return ResidueVolume(f, VolumeEstimate(Fraction(0), ZERO, flags=flags))
+    if k_min is None or k_max is not None:
+        # mu outside every dilate of the image, or a finite support: the
+        # dimension sequence is eventually zero
+        return ResidueVolume(f, _estimate(s, Fraction(0), ZERO))
     m_floor = max(1, -(-(k_min - f) // e))  # first m with f + m e >= k_min
 
     D = s.growth_degree
@@ -277,27 +286,25 @@ def _residue_volume_with_exponent(
                 continue
             worst = max(fits, key=lambda r: r[0])
             if worst[0] > D:
-                return ResidueVolume(f, VolumeEstimate(None, INFINITE, worst[2], flags))
+                return ResidueVolume(f, _estimate(s, None, INFINITE, worst[2]))
             best = max(fits, key=lambda r: r[1])
             value = best[1]
             status = EXACT if value > 0 else ZERO
-            return ResidueVolume(f, VolumeEstimate(value, status, best[2], flags))
+            return ResidueVolume(f, _estimate(s, value, status, best[2]))
     except _BudgetExhausted:
         pass
-    return ResidueVolume(f, VolumeEstimate(None, NOT_STABILIZED, flags=flags))
+    return ResidueVolume(f, _estimate(s, None, NOT_STABILIZED))
 
 
 def equivariant_volume(s: Scenario, mu, params: FitParams = DEFAULT_PARAMS) -> VolumeEstimate:
     """vol_mu(L): maximum of the residue-class volumes over f in [0, e)."""
     s.check_dominant(mu)
-    flags = ("negative_quotient_clamped",) if s.negative_quotient else ()
-    img = geometry.moment_image(s)
-    if not img.contains_zero():
+    if not geometry.moment_image(s).contains_zero():
         # unstable everywhere: isotypic dimensions vanish for large powers
-        return VolumeEstimate(Fraction(0), ZERO, flags=flags)
+        return _estimate(s, Fraction(0), ZERO)
     e = _working_exponent(s, params)
     if e is None:
-        return VolumeEstimate(None, NOT_STABILIZED, flags=flags)
+        return _estimate(s, None, NOT_STABILIZED)
     best: VolumeEstimate | None = None
     for f in range(e):
         rv = _residue_volume_with_exponent(s, mu, f, e, params).estimate
@@ -325,19 +332,3 @@ def homogeneity_transform(
         return est
     scale = Fraction(q, a) ** degree
     return replace(est, value=est.value * scale)
-
-
-def volume_table(s: Scenario, mus, params: FitParams = DEFAULT_PARAMS):
-    """Rows (mu, VolumeEstimate) sorted by weight vector."""
-    rows = [(mu, equivariant_volume(s, mu, params)) for mu in mus]
-    rows.sort(key=lambda r: s.weight_vec(r[0]))
-    return rows
-
-
-def predicted_volume_estimate(s: Scenario, mu, params: FitParams = DEFAULT_PARAMS) -> VolumeEstimate:
-    """Closed-form prediction dim(V_mu)^2 * vol_0 packaged as an estimate."""
-    vol0 = equivariant_volume(s, 0 if s.group.torus_rank == 1 else (0,) * s.group.dim, params)
-    if not vol0.finite:
-        raise ScenarioError(f"prediction needs a finite vol_0, got status {vol0.status}")
-    value = geometry.predicted_volume(s, mu, vol0.value)
-    return VolumeEstimate(value, EXACT if value > 0 else ZERO)

@@ -28,6 +28,7 @@ from equivol import (
     vanishing_certificate,
 )
 from equivol.corpus import default_corpus
+from equivol.geometry import supported
 from equivol.suites import continuity_family, run_suite
 from math import gcd
 
@@ -44,23 +45,6 @@ def criterion(num, label, limit=None):
     print(f"[acceptance] criterion {num:2d} ({label}): PASS ({dt:.2f}s)")
     if limit is not None:
         assert dt < limit, f"criterion {num} exceeded {limit}s ({dt:.2f}s)"
-
-
-def _geometry_supported(s):
-    return (s.group.is_su2 and len(s.factors) == 1) or (not s.group.is_su2 and s.group.dim <= 2)
-
-
-def _zero(s):
-    return 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-
-
-def _mu_range(s, radius=6):
-    if s.group.is_su2:
-        return list(range(0, radius + 1))
-    if s.group.dim == 1:
-        return list(range(-radius, radius + 1))
-    r = min(radius, 2)
-    return [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)]
 
 
 def test_criterion_01_hyperplane_volumes():
@@ -129,27 +113,27 @@ def test_criterion_06_homogeneity():
             for mu in (-1, 0, 2):
                 assert equivariant_volume(scenario_power(p2, p), mu).value == expect, (p, mu)
         for name, s in default_corpus():
-            if not _geometry_supported(s):
+            if not supported(s):
                 continue
-            vol0 = equivariant_volume(s, _zero(s))
+            vol0 = equivariant_volume(s, s.zero_weight)
             if not vol0.finite:
                 continue
             D = s.quotient_degree
             for q in range(1, 7):
-                got = equivariant_volume(scenario_power(s, q), _zero(s))
+                got = equivariant_volume(scenario_power(s, q), s.zero_weight)
                 assert got.value == Fraction(q) ** D * vol0.value, (name, q)
 
 
 def test_criterion_07_compatibility_dichotomy():
     with criterion(7, "vol_mu > 0 iff compatible, = dim(V_mu)^2 vol_0"):
         for name, s in default_corpus():
-            if not _geometry_supported(s):
+            if not supported(s):
                 continue
             if classify_stability(s).stability != "regular":
                 continue
-            vol0 = equivariant_volume(s, _zero(s))
+            vol0 = equivariant_volume(s, s.zero_weight)
             assert vol0.positive, name
-            for mu in _mu_range(s):
+            for mu in s.default_mus():
                 cert = numerically_compatible(s, mu)
                 est = equivariant_volume(s, mu)
                 assert est.finite, (name, mu)
@@ -160,7 +144,7 @@ def test_criterion_07_compatibility_dichotomy():
 def test_criterion_08_vanishing():
     with criterion(8, "support in scaled image; unstable counts vanish"):
         for name, s in default_corpus():
-            if not _geometry_supported(s):
+            if not supported(s):
                 continue
             img = moment_image(s)
             for k in range(1, 13):
@@ -168,7 +152,7 @@ def test_criterion_08_vanishing():
                     assert img.scaled_contains(s.weight_vec(mu), k), (name, k, mu)
             if classify_stability(s).stability != "unstable_everywhere":
                 continue
-            for mu in _mu_range(s):
+            for mu in s.default_mus():
                 r = vanishing_certificate(s, mu)
                 assert r is not None, (name, mu)
                 for k in range(r, 41):

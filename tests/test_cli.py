@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from equivol.cli import main
 from equivol.corpus import scenario_path
 
@@ -145,3 +147,35 @@ def test_csv_of_no_rows_is_header_only():
     assert to_csv([], ["mu", "value", "status", "residue", "period"]) == (
         "mu,value,status,residue,period\n"
     )
+
+
+# sparse rank-2 weights of size 1000: the packed counts of level 50 exceed
+# the default cell budget
+SPARSE_RANK2 = {
+    "group": "circle_power",
+    "g": 2,
+    "factors": [
+        {"dim": 1, "weights": [[1000, 0], [-1000, 0]]},
+        {"dim": 1, "weights": [[0, 1000], [0, -1000]]},
+    ],
+    "bundle": {"degrees": [1, 1]},
+}
+
+
+def test_engine_limit_is_input_error(tmp_path, capsys):
+    doc = tmp_path / "sparse.json"
+    doc.write_text(json.dumps(SPARSE_RANK2))
+    code, out, err = run(capsys, "multiplicity", "--scenario", str(doc), "--k", "50", "--mu", "0,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "budget 60000000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--p-max=0", "period_factor_max"), ("--k-max=0", "m_max"), ("--p-max=-1", "period_factor_max")],
+)
+def test_bad_fit_horizon_is_input_error(capsys, flag, field):
+    code, out, err = run(capsys, "volume", "--scenario", P2, "--mu", "0", flag)
+    assert code == 2 and out == ""
+    assert f"`{field}`" in err

@@ -153,6 +153,13 @@ def test_isotypic_table_support(p1_hyperplane):
     assert table.entries[(0, 0)] == 1
 
 
+def test_sorted_items_in_weight_order(corpus):
+    for name, s in corpus:
+        table = isotypic_table(s, 6)
+        by_vector = sorted(table.entries.items(), key=lambda kv: (kv[0][0], s.weight_vec(kv[0][1])))
+        assert table.sorted_items() == by_vector, name
+
+
 def test_oracle_budget_guard(p2_circle):
     with pytest.raises(EngineLimit):
         brute_force_oracle(p2_circle, 10_000)

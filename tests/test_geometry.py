@@ -9,7 +9,6 @@ from equivol import (
     circle_scenario,
     classify_stability,
     dh_slice_volume,
-    dim_V_mu,
     generic_stabilizer,
     moment_image,
     numerically_compatible,
@@ -226,12 +225,6 @@ def test_exponent_equals_character_order(corpus):
         assert g_exponent(s, 40).exponent == order, name
         checked += 1
     assert checked >= 8
-
-
-def test_dim_irrep(p2_circle, su2_p3):
-    assert dim_V_mu(p2_circle, 5) == 1
-    assert dim_V_mu(su2_p3, 3) == 4
-    assert dim_V_mu(su2_p3, 0) == 1
 
 
 # --- predictions and slices -------------------------------------------------

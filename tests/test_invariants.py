@@ -1,9 +1,12 @@
 """Cross-module structural invariants."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import equivol
 from equivol import (
     EngineLimit,
     UnsupportedScenario,
@@ -20,6 +23,7 @@ from equivol import (
     section_dimension,
     su2_scenario,
 )
+from equivol.geometry import supported
 
 
 def test_support_exactly_fills_image_away_from_vertices():
@@ -51,14 +55,11 @@ def test_invariant_count_degree_bounded_on_regular(corpus):
     # dim H^0(L^(el))^G grows at most like l^(n-g): the exact fit on a
     # regular scenario reaches a polynomial of degree <= n-g
     for name, s in corpus:
-        if s.group.is_su2 and len(s.factors) > 1:
-            continue
-        if not s.group.is_su2 and s.group.dim > 2:
+        if not supported(s):
             continue
         if classify_stability(s).stability != "regular":
             continue
-        zero = 0 if s.group.torus_rank == 1 else (0,) * s.group.dim
-        est = equivariant_volume(s, zero)
+        est = equivariant_volume(s, s.zero_weight)
         assert est.status == "exact", name
         assert est.fit.degree <= max(s.quotient_degree, 0), name
 
@@ -184,3 +185,14 @@ def test_g3_pointwise_counting_supported():
         moment_image(s)
     with pytest.raises(UnsupportedScenario):
         equivariant_volume(s, (0, 0, 0))
+
+
+def test_engine_has_no_assert_statements():
+    # asserts vanish under python -O; engine invariants raise explicitly
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(equivol.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

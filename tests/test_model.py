@@ -138,6 +138,43 @@ def test_monomial_degree_mismatch(p2_circle):
         weight_of_monomial(p2_circle, (1, 1, 0), k=3)
 
 
+def test_zero_weight(p1_hyperplane, p1p1_diag, su2_p3):
+    assert p1_hyperplane.zero_weight == 0
+    assert p1p1_diag.zero_weight == (0, 0)
+    assert su2_p3.zero_weight == 0
+
+
+def test_dim_irrep(p2_circle, p1p1_diag, su2_p3):
+    assert p2_circle.dim_irrep(5) == 1
+    assert p1p1_diag.dim_irrep((-3, 2)) == 1
+    assert su2_p3.dim_irrep(3) == 4
+    assert su2_p3.dim_irrep(0) == 1
+    with pytest.raises(ScenarioError, match=">= 0"):
+        su2_p3.dim_irrep(-1)
+
+
+def test_weights_in_box(p1_hyperplane, p1p1_diag, su2_p3):
+    g3 = circle_scenario([[(1, 0, 0), (0, 1, 0), (0, 0, 1)]], [1])
+    assert p1_hyperplane.weights_in_box(-2, 1) == [-2, -1, 0, 1]
+    assert p1p1_diag.weights_in_box(0, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert g3.weights_in_box(0, 1) == [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)
+    ]
+    box = g3.weights_in_box(-1, 1)
+    assert len(box) == 27 and box == sorted(set(box))
+    # su2 highest weights start at 0
+    assert su2_p3.weights_in_box(-3, 2) == [0, 1, 2]
+    assert su2_p3.weights_in_box(-3, -1) == []
+
+
+def test_default_mus(p1_hyperplane, p1p1_diag, su2_p3):
+    assert p1_hyperplane.default_mus() == list(range(-6, 7))
+    assert su2_p3.default_mus() == list(range(0, 7))
+    assert p1p1_diag.default_mus() == [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    assert p1_hyperplane.default_mus(3) == list(range(-3, 4))
+    assert p1p1_diag.default_mus(1) == [(a, b) for a in range(-1, 2) for b in range(-1, 2)]
+
+
 def test_document_roundtrip(corpus):
     for name, s in corpus:
         assert scenario_from_dict(scenario_to_dict(s)) == s, name

@@ -17,7 +17,7 @@ from equivol import (
     section_dimension,
     su2_scenario,
 )
-from equivol.counting import conservation_sides, dim_irrep
+from equivol.counting import conservation_sides
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 LEVELS = st.integers(0, 3)
@@ -71,7 +71,7 @@ def check_engine(s, k):
         mu = s.weight_key(vec)
         if s.group.is_su2 and mu < 0:
             continue
-        assert section_dimension(s, k, mu) == dist.get(mu, 0) * dim_irrep(s, mu), (k, mu)
+        assert section_dimension(s, k, mu) == dist.get(mu, 0) * s.dim_irrep(mu), (k, mu)
 
 
 @SETTINGS
