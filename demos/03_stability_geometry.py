@@ -55,8 +55,9 @@ for mu in range(-2, 3):
     got = equivariant_volume(p2, mu).value
     print(f"  mu={mu:+d}: predicted {pred}, counted {got}")
 
-# The reduced-space volume has an independent closed form by slicing the
-# moment simplex (here: the square slice of a tetrahedron).
+# The reduced-space volume has an independent closed form: the
+# Duistermaat-Heckman density of the moment simplex at 0, a B-spline whose
+# knots are the weights (here the square slice of a tetrahedron).
 p3 = circle_scenario([[-1, -1, 1, 1]], [1])
 print("\nslice volume on P^3 (-1,-1,1,1):", dh_slice_volume(p3),
       "= counted vol_0:", equivariant_volume(p3, 0).value)

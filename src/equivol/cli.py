@@ -114,7 +114,7 @@ def cmd_volume(args) -> int:
         raise InputError("volume needs --mu or --mu-range")
     params = _params(args)
     pairs = [(mu, equivariant_volume(s, mu, params)) for mu in mus]
-    _emit(tables.volume_rows(s, pairs), ["mu", "value", "status", "residue", "period"], args)
+    _emit(tables.volume_rows(pairs), ["mu", "value", "status", "residue", "period"], args)
     return 1 if any(est.status == "not_stabilized" for _, est in pairs) else 0
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from math import ceil, floor, gcd
 
 from .model import Rational, Scenario, UnsupportedScenario
@@ -520,133 +519,45 @@ def predicted_volume(s: Scenario, mu, vol0: Rational) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# reduced-space volume by exact simplex slicing
-
-
-def _kernel_basis(v: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Basis of the lattice ker(v) in Z^n via unimodular column reduction."""
-    n = len(v)
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    vals = [x // g for x in v]
-    cols = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    lead = None  # (value, column)
-    kernel = []
-    for j in range(n):
-        val, col = vals[j], cols[j]
-        if val == 0:
-            kernel.append(col)
-            continue
-        if lead is None:
-            lead = (val, col)
-            continue
-        a, b = lead, (val, col)
-        while b[0]:
-            q = a[0] // b[0]
-            a, b = b, (a[0] - q * b[0], tuple(x - q * y for x, y in zip(a[1], b[1])))
-        lead = a
-        kernel.append(b[1])
-    return kernel
-
-
-def _solve_in_basis(basis, target):
-    """Exact coordinates of `target` in the column span of `basis`."""
-    m = len(basis)  # number of basis vectors, each of length n
-    n = len(target)
-    rows = [[Fraction(basis[j][i]) for j in range(m)] + [Fraction(target[i])] for i in range(n)]
-    piv = 0
-    pivots = []
-    for col in range(m):
-        r = next((i for i in range(piv, n) if rows[i][col] != 0), None)
-        if r is None:
-            continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        rows[piv] = [x / rows[piv][col] for x in rows[piv]]
-        for i in range(n):
-            if i != piv and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
-        pivots.append(col)
-        piv += 1
-    sol = [Fraction(0)] * m
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][-1]
-    for i in range(piv, n):
-        if rows[i][-1] != 0:
-            raise ValueError("target not in span")
-    return tuple(sol)
+# reduced-space volume as a Duistermaat-Heckman B-spline
 
 
 def dh_slice_volume(s: Scenario) -> Rational:
     """Exact normalized volume of the zero-level slice of the moment
-    simplex, for rank-1 single-factor regular scenarios with n <= 3.
+    simplex, for rank-1 single-factor regular scenarios.
 
     Normalization is pinned to counting: the returned value equals
-    lim (n-1)! h^0_0(L^k)/k^(n-1) along the exponent progression, i.e.
-    (n-1)! times the slice volume measured against the induced hyperplane
-    lattice.  Computed by slicing the simplex into its crossing polygon
-    and summing exact lattice-coordinate determinants.
+    lim (n-1)! h^0_0(L^k)/k^(n-1) along the exponent progression.  The
+    push-forward of the simplex measure is the Curry-Schoenberg B-spline M
+    (integral 1) with knots d*w_i (Duistermaat-Heckman), so
+
+        vol_0 = |K| d^n / n * M(-c | d w_0, ..., d w_n)
+
+    with |K| the order of the generic stabilizer.  M is evaluated by the
+    Curry-Schoenberg recursion over windows of consecutive sorted knots;
+    regularity keeps -c off every knot.
     """
     if s.group.is_su2 or s.group.dim != 1 or len(s.factors) != 1:
         raise UnsupportedScenario("slice volumes implemented for rank-1 single factors")
-    n = s.factors[0].dim
-    if n > 3:
-        raise UnsupportedScenario("slice volumes implemented for n <= 3")
     report = classify_stability(s)
     if report.stability != REGULAR:
         raise UnsupportedScenario(f"slice volume needs a regular scenario, got {report.stability}")
 
-    w = [x[0] for x in s.factors[0].weights]
+    n = s.factors[0].dim
     d = s.bundle.degrees[0]
-    c = s.bundle.twist[0]
-    v = tuple(w[i] - w[0] for i in range(1, n + 1))
-    t = -c - w[0] * d
-
-    if n == 1:
-        # zero-dimensional reduced point; regularity puts it inside (0, d)
-        return Fraction(1)
-
-    # vertices of {y >= 0, sum y <= d, v.y = t} on the simplex edges
-    corners = [tuple(Fraction(0) for _ in range(n))]
-    for i in range(n):
-        corners.append(tuple(Fraction(d) if j == i else Fraction(0) for j in range(n)))
-    fvals = [sum(Fraction(vi) * yi for vi, yi in zip(v, p)) - t for p in corners]
-    verts = []
-    for (i, p), (j, q) in itertools.combinations(enumerate(corners), 2):
-        fp, fq = fvals[i], fvals[j]
-        if fp == 0 or fq == 0 or (fp > 0) == (fq > 0):
-            continue  # regularity excludes corner hits
-        lam = fp / (fp - fq)
-        verts.append(tuple(pp + lam * (qq - pp) for pp, qq in zip(p, q)))
-    verts = list(dict.fromkeys(verts))
-
-    basis = _kernel_basis(v)
-    coords = [_solve_in_basis(basis, tuple(x - y for x, y in zip(u, verts[0]))) for u in verts]
-    if n == 2:
-        if len(verts) != 2:
-            raise RuntimeError(f"zero-level slice of a regular P^2 has {len(verts)} vertices, not 2")
-        return abs(coords[1][0])
-
-    # order the polygon around its centroid and take the shoelace sum;
-    # dh = (n-1)! * area = |sum of crosses| for n = 3
-    m = len(coords)
-    cen = tuple(sum(p[i] for p in coords) / m for i in range(2))
-    rel = [(p[0] - cen[0], p[1] - cen[1]) for p in coords]
-
-    def cmp(a, b):
-        ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-        hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-        if ha != hb:
-            return ha - hb
-        cr = _cross(a, b)
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    rel.sort(key=cmp_to_key(cmp))
-    acc = Fraction(0)
-    for i in range(m):
-        acc += _cross(rel[i], rel[(i + 1) % m])
-    return abs(acc)
+    x = Fraction(-s.bundle.twist[0])
+    t = sorted(d * w[0] for w in s.factors[0].weights)
+    # spline[i] is the B-spline on the knots t[i..i+r]; start at r = 1
+    spline = [Fraction(1, b - a) if a < x < b else Fraction(0) for a, b in zip(t, t[1:])]
+    for r in range(2, n + 1):
+        spline = [
+            r * ((x - t[i]) * spline[i] + (t[i + r] - x) * spline[i + 1])
+            / ((r - 1) * (t[i + r] - t[i]))
+            if t[i] < t[i + r]
+            else Fraction(0)
+            for i in range(len(spline) - 1)
+        ]
+    return generic_stabilizer(s).order * Fraction(d) ** n / n * spline[0]
 
 
 def vanishing_certificate(s: Scenario, mu) -> int | None:

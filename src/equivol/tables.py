@@ -29,18 +29,22 @@ def render_weight(mu) -> str:
 
 
 def multiplicity_rows(s, items):
-    """(k, mu, dim) rows in lexicographic (k, weight) order."""
-    rows = sorted(items, key=lambda kv: (kv[0][0], s.weight_vec(kv[0][1])))
+    """(k, mu, dim) rows in lexicographic (k, weight) order.
+
+    The weights of one scenario are all ints or all tuples, so the natural
+    order of the ((k, mu), dim) items is that order; `s` is not consulted.
+    """
     return [
         {"k": k, "mu": render_weight(mu), "dim": dim}
-        for (k, mu), dim in rows
+        for (k, mu), dim in sorted(items)
     ]
 
 
-def volume_rows(s, pairs):
-    """Rows from (mu, VolumeEstimate) pairs; header mu,value,status,residue,period."""
+def volume_rows(pairs):
+    """Rows from (mu, VolumeEstimate) pairs in weight order; header
+    mu,value,status,residue,period."""
     out = []
-    for mu, est in sorted(pairs, key=lambda p: s.weight_vec(p[0])):
+    for mu, est in sorted(pairs, key=lambda p: p[0]):
         fit = est.fit
         out.append(
             {

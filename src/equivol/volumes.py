@@ -118,9 +118,7 @@ def _estimate(s: Scenario, value, status: str, fit=None) -> VolumeEstimate:
 
 def g_semigroup(s: Scenario, m_max: int) -> frozenset[int]:
     """{m in [1, m_max] : L^m has a nonzero invariant section}."""
-    if m_max < 1:
-        raise ScenarioError("m_max must be >= 1")
-    return frozenset(m for m in range(1, m_max + 1) if section_dimension(s, m, s.zero_weight) > 0)
+    return mu_semigroup(s, s.zero_weight, m_max)
 
 
 def mu_semigroup(s: Scenario, mu, m_max: int) -> frozenset[int]:
@@ -151,12 +149,9 @@ def _working_exponent(s: Scenario, params: FitParams) -> int | None:
     search re-subdivides as needed.  Escalates to the full horizon before
     declaring the exponent undetermined.
     """
-    for horizon in (16, params.m_max):
-        if horizon > params.m_max:
-            break
-        er = g_exponent(s, horizon)
-        if er.exponent is not None:
-            return er.exponent
+    e = g_exponent(s, min(16, params.m_max)).exponent
+    if e is not None:
+        return e
     return g_exponent(s, params.m_max).exponent
 
 

@@ -9,6 +9,7 @@ from equivol import (
     circle_scenario,
     classify_stability,
     dh_slice_volume,
+    equivariant_volume,
     generic_stabilizer,
     moment_image,
     numerically_compatible,
@@ -264,6 +265,27 @@ def test_dh_slice_p3_balanced():
 
 def test_dh_slice_p2_skew():
     assert dh_slice_volume(circle_scenario([[-1, 1, 2]], [1])) == Fraction(1, 6)
+
+
+@pytest.mark.parametrize(
+    "weights, degree, twist, vol0",
+    [
+        ((-1, -1, -1, 1, 1), 1, 0, Fraction(3, 8)),
+        ((-1, -1, -1, 1, 1, 1), 1, 0, Fraction(3, 8)),
+        ((-1, -1, 1, 1, 1), 2, 1, Fraction(9, 8)),
+    ],
+)
+def test_dh_slice_beyond_p3_equals_fitted_volume(weights, degree, twist, vol0):
+    s = circle_scenario([list(weights)], [degree], twist=twist)
+    assert dh_slice_volume(s) == vol0
+    assert equivariant_volume(s, 0).value == vol0
+
+
+def test_dh_slice_p2_wide_weights():
+    # regression value of the earlier simplex slicer; 161 invariant
+    # monomials of O(1200) give 161/1200 ~ 0.134
+    s = circle_scenario([[-2, 3, -3]], [1], twist=1)
+    assert dh_slice_volume(s) == Fraction(2, 15)
 
 
 def test_dh_slice_matches_counting_asymptotics(p2_circle):

@@ -101,8 +101,6 @@ def test_dh_slice_equals_counted_volume_on_supported(corpus):
     for name, s in corpus:
         if s.group.is_su2 or s.group.dim != 1 or len(s.factors) != 1:
             continue
-        if s.factors[0].dim > 3:
-            continue
         if classify_stability(s).stability != "regular":
             continue
         assert dh_slice_volume(s) == equivariant_volume(s, 0).value, name

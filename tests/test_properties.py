@@ -1,18 +1,21 @@
 """Property tests: the packed counting engine against the brute-force oracle
 on random small scenarios of every torus rank, with negative weights,
-constant coordinates and twists.
+constant coordinates and twists; and the closed-form Duistermaat-Heckman
+volume against invariant counts on random regular P^2 scenarios.
 
 Examples are derandomized; their number is bounded for run time only.
 """
 
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equivol import (
     brute_force_oracle,
     circle_scenario,
+    classify_stability,
+    dh_slice_volume,
     full_weight_distribution,
     section_dimension,
     su2_scenario,
@@ -90,3 +93,23 @@ def test_rank2_engine_matches_oracle(s, k):
 @given(su2_scenarios(), LEVELS)
 def test_su2_engine_matches_oracle(s, k):
     check_engine(s, k)
+
+
+@st.composite
+def regular_p2_scenarios(draw):
+    weights = draw(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+    s = circle_scenario([weights], [draw(st.integers(1, 3))], twist=draw(st.integers(-4, 4)))
+    assume(classify_stability(s).stability == "regular")
+    return s
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(regular_p2_scenarios())
+def test_dh_volume_is_lattice_length_of_invariant_slice(s):
+    # the invariant monomials of L^k are the lattice points of a segment of
+    # lattice length vol_0 * k, so their number is within 1 of it
+    vol = dh_slice_volume(s)
+    for k in range(1, 151):
+        h = section_dimension(s, k, 0)
+        if h > 0:
+            assert vol * k - 1 <= h <= vol * k + 1, (k, h, vol)

@@ -191,6 +191,17 @@ def test_volume_twisted_p2():
         assert equivariant_volume(s, 0).value == Fraction(d - c, 2), (d, c)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the fit accepts a period-7 window of unit increments on P^2 (-2,3,-3) "
+    "O(1) twist 1 and returns 1/7; the slope per period step is 14/15, so "
+    "vol_0 = 2/15 (closed form; 161 invariants at k = 1200)",
+)
+def test_volume_wide_weights_p2():
+    s = circle_scenario([[-2, 3, -3]], [1], twist=1)
+    assert equivariant_volume(s, 0).value == Fraction(2, 15)
+
+
 # --- transformation laws ------------------------------------------------------
 
 
