@@ -2,9 +2,9 @@
 
 The equivariant volume vol_mu(L) measures the growth of the mu-isotypic
 part of the section ring: limsup of (n-g)! dim H^0(L^k)_mu / k^(n-g).
-On these spaces the dimension counts are eventually quasi-polynomial, so
-the limsup is computed exactly by finite differences along residue
-classes of the invariant exponent.
+On these spaces the dimension counts are eventually quasi-polynomial, with
+a period and a start computed from the weights, so the limsup is computed
+exactly by interpolating each residue class.
 """
 
 from equivol import (
@@ -42,8 +42,8 @@ p2 = circle_scenario([[-1, 1, 1]], [1])
 print("\nP^2, weights (-1,1,1):  vol_mu(O(1)) =",
       equivariant_volume(p2, 0).value)
 
-# Weights (-1,1,2) force a refinement of the residue class: the invariant
-# count follows a period-6 pattern and the exact fit finds it.
+# Weights (-1,1,2) refine the residue class: the invariant count follows a
+# period-6 pattern, the lcm of the weight differences 2, 3 and 1.
 skew = circle_scenario([[-1, 1, 2]], [1])
 est = equivariant_volume(skew, 0)
 print("\nP^2, weights (-1,1,2): vol_0 =", est.value,

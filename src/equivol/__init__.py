@@ -47,7 +47,6 @@ from .geometry import (
 )
 from .volumes import (
     ExponentResult,
-    FitParams,
     ResidueVolume,
     VolumeEstimate,
     equivariant_volume,

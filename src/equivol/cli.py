@@ -1,17 +1,18 @@
 """Command-line interface.
 
-    equivol multiplicity --scenario S.json --k 4 [--mu 0 | --all-mu]
+    equivol multiplicity --scenario S.json --k 4 --mu 0
+    equivol multiplicity --scenario S.json --k 4 --all-mu
     equivol volume       --scenario S.json --mu-range=-3..3
-    equivol exponent     --scenario S.json [--m-max 60]
+    equivol exponent     --scenario S.json --m-max 60
     equivol classify     --scenario S.json
     equivol predict      --scenario S.json --mu-range 0..4
-    equivol verify       --suite oracle [--scenario extra.json ...]
+    equivol verify       --suite oracle --scenario extra.json
     equivol table        --scenario S.json --k-max 6
 
 Every command is a pure function of the scenario document and flags;
-repeated runs emit byte-identical tables.  Exit codes: 0 success, 1 check
-failure or a not-stabilized estimate, 2 input error or an exceeded engine
-limit (EngineLimit).
+repeated runs emit byte-identical tables.  Volumes come from a certified
+interpolation with no horizon to set.  Exit codes: 0 success, 1 check
+failure, 2 input error or an exceeded engine limit (EngineLimit).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .corpus import default_corpus
 from .counting import EngineLimit, full_weight_distribution, isotypic_table, section_dimension
 from .model import Scenario, ScenarioError, UnsupportedScenario, scenario_from_dict
 from .tables import render_rational, render_weight
-from .volumes import DEFAULT_PARAMS, FitParams, equivariant_volume, g_exponent
+from .volumes import M_MAX, equivariant_volume, g_exponent
 
 
 class InputError(Exception):
@@ -79,15 +80,6 @@ def _emit(rows, fieldnames, args):
     tables.emit(text, args.out)
 
 
-def _params(args) -> FitParams:
-    kw = {}
-    if getattr(args, "k_max", None) is not None:
-        kw["m_max"] = args.k_max
-    if getattr(args, "p_max", None) is not None:
-        kw["period_factor_max"] = args.p_max
-    return FitParams(**kw) if kw else DEFAULT_PARAMS
-
-
 def cmd_multiplicity(args) -> int:
     s = load_scenario(args.scenario)
     if args.all_mu:
@@ -112,10 +104,9 @@ def cmd_volume(args) -> int:
         mus = _parse_mu_range(args.mu_range, s)
     else:
         raise InputError("volume needs --mu or --mu-range")
-    params = _params(args)
-    pairs = [(mu, equivariant_volume(s, mu, params)) for mu in mus]
+    pairs = [(mu, equivariant_volume(s, mu)) for mu in mus]
     _emit(tables.volume_rows(pairs), ["mu", "value", "status", "residue", "period"], args)
-    return 1 if any(est.status == "not_stabilized" for _, est in pairs) else 0
+    return 0
 
 
 def cmd_exponent(args) -> int:
@@ -175,10 +166,9 @@ def cmd_predict(args) -> int:
     rep = geometry.classify_stability(s)
     if rep.stability != "regular":
         raise InputError(f"prediction is defined for regular scenarios, got {rep.stability}")
-    params = _params(args)
-    vol0 = equivariant_volume(s, s.zero_weight, params)
+    vol0 = equivariant_volume(s, s.zero_weight)
     if not vol0.finite:
-        print(f"vol_0 did not stabilize: {vol0.status}", file=sys.stderr)
+        print(f"vol_0 is {vol0.status}", file=sys.stderr)
         return 1
     rows = []
     for mu in _mus(args, s):
@@ -201,10 +191,9 @@ def cmd_verify(args) -> int:
     for extra in args.scenario or []:
         corpus.append((extra, load_scenario(extra)))
     names = [args.suite] if args.suite else list(suites.SUITE_NAMES)
-    params = _params(args)
     reports = []
     for name in names:
-        rep = suites.run_suite(name, corpus, params)
+        rep = suites.run_suite(name, corpus)
         reports.append(rep)
         print(rep.summary())
     if args.out or args.format == "json":
@@ -245,13 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mu", default=None)
     p.add_argument("--mu-range", default=None, help="a..b")
-    p.add_argument("--k-max", type=int, default=None, help="semigroup horizon")
-    p.add_argument("--p-max", type=int, default=None, help="refinement period cap (times e)")
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("exponent", help="invariant semigroup and G-exponent")
     common(p)
-    p.add_argument("--m-max", type=int, default=DEFAULT_PARAMS.m_max)
+    p.add_argument("--m-max", type=int, default=M_MAX)
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("classify", help="stability class and moment image")
@@ -262,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="closed-form volume prediction (regular case)")
     common(p)
     p.add_argument("--mu-range", default=None, help="a..b")
-    p.add_argument("--k-max", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify", help="run verification suites on the corpus")
@@ -271,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one suite (default: all)")
     p.add_argument("--scenario", action="append", default=None,
                    help="extra scenario documents to include")
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--p-max", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="full isotypic table up to k-max")

@@ -350,6 +350,21 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {"group": s.group.kind, "g": s.group.dim, "factors": factors, "bundle": bundle}
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: a bool is not an int here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
+def _int_list_field(value, field: str) -> tuple[int, ...]:
+    if not _is_int_list(value):
+        raise ScenarioError(f"field `{field}` must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Parse the scenario-document structure; errors name the offending field."""
     if not isinstance(doc, dict):
@@ -361,7 +376,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if kind not in (CIRCLE_POWER, SU2):
         raise ScenarioError(f"field `group` must be '{CIRCLE_POWER}' or '{SU2}', got {kind!r}")
     g = doc["g"]
-    if not isinstance(g, int) or g < 1:
+    if not _is_int(g) or g < 1:
         raise ScenarioError("field `g` must be a positive integer")
     group = GroupSpec(kind, g)
 
@@ -373,22 +388,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not isinstance(rf, dict) or "dim" not in rf:
             raise ScenarioError(f"factors[{j}] missing field `dim`")
         dim = rf["dim"]
+        if not _is_int(dim):
+            raise ScenarioError(f"field `factors[{j}].dim` must be an integer, got {dim!r}")
         if "weights" in rf:
-            ws = tuple(
-                (int(w),) if isinstance(w, int) else tuple(int(x) for x in w)
-                for w in rf["weights"]
-            )
+            raw = rf["weights"]
+            if not isinstance(raw, list) or not all(_is_int(w) or _is_int_list(w) for w in raw):
+                raise ScenarioError(
+                    f"field `factors[{j}].weights` must be a list of integers "
+                    f"or of integer lists, got {raw!r}"
+                )
+            ws = tuple((w,) if _is_int(w) else tuple(w) for w in raw)
             factors.append(ProjectiveFactor(dim=dim, weights=ws))
         elif "sym_powers" in rf:
-            factors.append(ProjectiveFactor(dim=dim, sym_powers=tuple(rf["sym_powers"])))
+            sym = _int_list_field(rf["sym_powers"], f"factors[{j}].sym_powers")
+            factors.append(ProjectiveFactor(dim=dim, sym_powers=sym))
         else:
             raise ScenarioError(f"factors[{j}] needs field `weights` or `sym_powers`")
 
     raw_bundle = doc["bundle"]
     if not isinstance(raw_bundle, dict) or "degrees" not in raw_bundle:
         raise ScenarioError("field `bundle` missing field `degrees`")
-    twist = raw_bundle.get("twist", ())
-    if isinstance(twist, int):
-        twist = (twist,)
-    bundle = LinearizedBundle(tuple(raw_bundle["degrees"]), tuple(twist))
-    return validate_scenario(Scenario(group, tuple(factors), bundle))
+    degrees = _int_list_field(raw_bundle["degrees"], "bundle.degrees")
+    twist = raw_bundle.get("twist", [])
+    twist = (twist,) if _is_int(twist) else _int_list_field(twist, "bundle.twist")
+    return validate_scenario(Scenario(group, tuple(factors), LinearizedBundle(degrees, twist)))

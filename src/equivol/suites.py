@@ -3,8 +3,8 @@
 Each suite runs a family of exact checks over a scenario corpus and
 returns a :class:`SuiteReport`; a suite passes only if every record
 passes, and every record carries the data needed to re-run it in
-isolation.  Estimates that fail to stabilize fail the affected check with
-that status recorded, never silently.
+isolation.  An estimate that is not finite where a law needs a finite one
+fails the affected check with its status recorded, never silently.
 """
 
 from __future__ import annotations
@@ -18,14 +18,7 @@ from . import geometry
 from .counting import brute_force_oracle, conservation_sides, full_weight_distribution, section_dimension
 from .model import LinearizedBundle, Scenario, scenario_power, tensor_product, with_bundle
 from .tables import render_rational, render_weight
-from .volumes import (
-    DEFAULT_PARAMS,
-    FitParams,
-    equivariant_volume,
-    g_exponent,
-    g_semigroup,
-    mu_semigroup,
-)
+from .volumes import equivariant_volume, g_exponent, g_semigroup, mu_semigroup
 
 
 @dataclass
@@ -95,17 +88,17 @@ class SuiteReport:
         return f"suite {self.suite}: {ok}/{total} checks passed"
 
 
-def run_suite(name: str, corpus, params: FitParams = DEFAULT_PARAMS) -> SuiteReport:
+def run_suite(name: str, corpus) -> SuiteReport:
     """Run one named suite over corpus pairs (label, scenario)."""
     if name not in _RUNNERS:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return _RUNNERS[name](corpus, params)
+    return _RUNNERS[name](corpus)
 
 
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(corpus, params=DEFAULT_PARAMS, k_max: int = 8) -> SuiteReport:
+def suite_oracle(corpus, k_max: int = 8) -> SuiteReport:
     """Engine distribution == brute-force enumeration, plus conservation."""
     records = []
     for name, s in corpus:
@@ -128,7 +121,7 @@ def suite_oracle(corpus, params=DEFAULT_PARAMS, k_max: int = 8) -> SuiteReport:
     return SuiteReport("oracle", [n for n, _ in corpus], records)
 
 
-def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
+def suite_homogeneity(corpus) -> SuiteReport:
     """vol_mu(L^p) = p^(n-g) vol_mu(L) for gcd(p, e)=1, and the
     unconditional trivial-representation law for q in [1, 6]."""
     records = []
@@ -136,10 +129,10 @@ def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
         if not geometry.supported(s):
             continue
         D = s.quotient_degree
-        vol0 = equivariant_volume(s, s.zero_weight, params)
+        vol0 = equivariant_volume(s, s.zero_weight)
         if vol0.finite:
             for q in range(1, 7):
-                lhs = equivariant_volume(scenario_power(s, q), s.zero_weight, params)
+                lhs = equivariant_volume(scenario_power(s, q), s.zero_weight)
                 ok = lhs.finite and lhs.value == Fraction(q) ** D * vol0.value
                 records.append(
                     CheckRecord(
@@ -152,7 +145,7 @@ def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
                     )
                 )
         rep = geometry.classify_stability(s)
-        er = g_exponent(s, params.m_max)
+        er = g_exponent(s)
         if rep.stability != "regular" or er.exponent is None:
             continue
         for p in (3, 5):
@@ -160,8 +153,8 @@ def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
                 continue
             sp = scenario_power(s, p)
             for mu in s.default_mus(2):
-                base = equivariant_volume(s, mu, params)
-                lhs = equivariant_volume(sp, mu, params)
+                base = equivariant_volume(s, mu)
+                lhs = equivariant_volume(sp, mu)
                 ok = (
                     base.finite
                     and lhs.finite
@@ -180,12 +173,12 @@ def suite_homogeneity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     return SuiteReport("homogeneity", [n for n, _ in corpus], records)
 
 
-def suite_exponent_law(corpus, params=DEFAULT_PARAMS, p_max: int = 12) -> SuiteReport:
+def suite_exponent_law(corpus, p_max: int = 12) -> SuiteReport:
     """e_G(L^p) = e_G(L)/gcd(p, e_G(L)) for p in [1, p_max]."""
     records = []
     power_horizon = 12  # exponents stabilize immediately on the corpus
     for name, s in corpus:
-        er = g_exponent(s, params.m_max)
+        er = g_exponent(s)
         if er.exponent is None:
             continue
         e = er.exponent
@@ -205,7 +198,7 @@ def suite_exponent_law(corpus, params=DEFAULT_PARAMS, p_max: int = 12) -> SuiteR
     return SuiteReport("exponent_law", [n for n, _ in corpus], records)
 
 
-def suite_compatibility(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
+def suite_compatibility(corpus) -> SuiteReport:
     """Regular scenarios: vol_mu > 0 iff a compatibility witness exists,
     and positive volumes equal dim(V_mu)^2 vol_0 exactly."""
     records = []
@@ -214,7 +207,7 @@ def suite_compatibility(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
             continue
         if geometry.classify_stability(s).stability != "regular":
             continue
-        vol0 = equivariant_volume(s, s.zero_weight, params)
+        vol0 = equivariant_volume(s, s.zero_weight)
         records.append(
             CheckRecord(
                 name,
@@ -228,7 +221,7 @@ def suite_compatibility(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
             continue
         for mu in s.default_mus():
             cert = geometry.numerically_compatible(s, mu)
-            est = equivariant_volume(s, mu, params)
+            est = equivariant_volume(s, mu)
             predicted = geometry.predicted_volume(s, mu, vol0.value)
             ok = est.finite and (est.value > 0) == cert.compatible and est.value == predicted
             records.append(
@@ -244,7 +237,7 @@ def suite_compatibility(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     return SuiteReport("compatibility", [n for n, _ in corpus], records)
 
 
-def suite_vanishing(corpus, params=DEFAULT_PARAMS, k_support: int = 12, k_max: int = 40) -> SuiteReport:
+def suite_vanishing(corpus, k_support: int = 12, k_max: int = 40) -> SuiteReport:
     """Counted support lies in the scaled moment image; on unstable
     scenarios the counts vanish at and beyond the emitted bound."""
     records = []
@@ -304,7 +297,7 @@ def _invariantly_effective_bundle(s: Scenario):
     return None
 
 
-def suite_monotonicity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
+def suite_monotonicity(corpus) -> SuiteReport:
     """Tensoring with an invariantly effective bundle never shrinks volumes."""
     records = []
     for name, s in corpus:
@@ -315,8 +308,8 @@ def suite_monotonicity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
             continue
         bigger = with_bundle(s, tensor_product(s.bundle, aux))
         for mu in s.default_mus(3):
-            lo = equivariant_volume(s, mu, params)
-            hi = equivariant_volume(bigger, mu, params)
+            lo = equivariant_volume(s, mu)
+            hi = equivariant_volume(bigger, mu)
             if lo.status == "infinite":
                 ok = hi.status == "infinite"
             else:
@@ -334,7 +327,7 @@ def suite_monotonicity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     return SuiteReport("monotonicity", [n for n, _ in corpus], records)
 
 
-def suite_translation(corpus, params=DEFAULT_PARAMS, m_max: int = 40) -> SuiteReport:
+def suite_translation(corpus, m_max: int = 40) -> SuiteReport:
     """Beyond a finite prefix, the mu-semigroup is the witness translate of
     the invariant semigroup on regular scenarios."""
     records = []
@@ -393,7 +386,7 @@ def continuity_family(d_max: int = 6, twist_radius: int = 3):
     return fam
 
 
-def suite_continuity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
+def suite_continuity(corpus) -> SuiteReport:
     """On the regular members of the P^2 family, |vol_0(D) - vol_0(D')| is
     bounded by C ||D - D'|| in the max-coordinate norm; the suite reports
     the minimal such C (the bound exponent n-g-1 is 0 here)."""
@@ -402,7 +395,7 @@ def suite_continuity(corpus, params=DEFAULT_PARAMS) -> SuiteReport:
     for key, s in continuity_family():
         if geometry.classify_stability(s).stability != "regular":
             continue
-        est = equivariant_volume(s, 0, params)
+        est = equivariant_volume(s, 0)
         records.append(
             CheckRecord(
                 "p2_family",

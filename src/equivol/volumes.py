@@ -1,28 +1,32 @@
-"""Equivariant volumes by exact quasi-polynomial fitting.
+"""Equivariant volumes by certified quasi-polynomial interpolation.
 
-The isotypic dimension k -> dim H^0(M, L^k)_mu is eventually
-quasi-polynomial on the supported spaces (lattice-point counts on slices
-of dilated polytopes), so the limsup defining the volume
+Along the ray k*b1 + b0 the isotypic dimension h(k) = dim H^0(M, L^k)_mu
+is a vector partition function #{alpha >= 0 : A alpha = k b1 + b0}: A has
+one column (e_j, w) per homogeneous coordinate (the indicator of its
+factor j, then its torus weight w), b1 = (degrees, -twist), b0 = (0, mu),
+and for SU(2) h is dim V_mu times the torus count at mu minus that at
+mu + 2.  Its period divides the lcm P of the nonzero maximal minors of A
+(Sturmfels, "On vector partition functions", JCTA 1995), and past the
+ray's last crossing k0 of a wall spanned by columns of A it is a single
+quasi-polynomial (Brion-Vergne, JAMS 1997).  So on each class
+k = r (mod P), k >= k0, h is a polynomial of degree <= #columns - rank A:
+it is interpolated exactly and checked at one more sample, and a mismatch
+is a bug, never a reason to search on.
 
-    vol_mu(L) = limsup (n-g)!/k^(n-g) dim H^0(M, L^k)_mu
-
-is attained along residue classes mod the invariant exponent e = e_G(L)
-and can be computed exactly: sample along k = f + m e, refine the class
-by a period P = t e until every sub-progression is a polynomial in k of
-some degree (witnessed by vanishing finite differences over a window),
-and read off the degree-(n-g) coefficient.  Growth of degree above n-g is
-reported as an infinite volume, never an error; failure to stabilize
-within the configured horizons is reported honestly as not_stabilized.
-
-No floating point is used anywhere; all values are Fractions.
+The volume vol_mu(L) = limsup (n-g)!/k^(n-g) dim H^0(M, L^k)_mu is the
+largest (n-g)! * (coefficient of k^(n-g)) over the classes; growth of
+higher degree is an infinite volume, never an error.  Results name their
+class modulo e_G(L), the gcd of P and the classes whose invariant count
+is eventually nonzero.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from itertools import combinations
+from math import factorial, gcd, lcm
 
 from . import geometry
 from .counting import section_dimension
@@ -31,35 +35,9 @@ from .model import Rational, Scenario, ScenarioError
 EXACT = "exact"
 ZERO = "zero"
 INFINITE = "infinite"
-NOT_STABILIZED = "not_stabilized"
 
-
-@dataclass(frozen=True)
-class FitParams:
-    """Horizons for semigroup scans and quasi-polynomial fits.
-
-    Defaults cover every shipped scenario; all bounds are configurable.
-    The fit window holds degree+window_pad samples plus `confirm` extra
-    samples that the fitted polynomial must also reproduce.
-    """
-
-    m_max: int = 60
-    window_pad: int = 4
-    confirm: int = 2
-    far_check: int = 5
-    period_factor_max: int = 24
-    start_max: int = 16
-    max_samples: int = 600
-
-    def __post_init__(self):
-        for f in fields(self):
-            least = 1 if f.name in ("m_max", "period_factor_max") else 0
-            value = getattr(self, f.name)
-            if value < least:
-                raise ScenarioError(f"fit parameter `{f.name}` must be >= {least}, got {value}")
-
-
-DEFAULT_PARAMS = FitParams()
+# semigroup horizon of g_exponent and `equivol exponent`
+M_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -79,12 +57,13 @@ class ExponentResult:
 
 @dataclass(frozen=True)
 class FitData:
+    """The residue class f mod e_G(L) a volume was read from, the least
+    period (a multiple of e dividing P) of its class polynomials, and
+    their largest degree."""
+
     residue: int
     period: int
-    start_k: int
-    samples: tuple[int, ...]
     degree: int
-    leading: Rational
 
 
 @dataclass(frozen=True)
@@ -129,7 +108,7 @@ def mu_semigroup(s: Scenario, mu, m_max: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def g_exponent(s: Scenario, m_max: int = DEFAULT_PARAMS.m_max) -> ExponentResult:
+def g_exponent(s: Scenario, m_max: int = M_MAX) -> ExponentResult:
     sg = g_semigroup(s, m_max)
     if not sg:
         return ExponentResult(sg, None, None, m_max)
@@ -141,175 +120,182 @@ def g_exponent(s: Scenario, m_max: int = DEFAULT_PARAMS.m_max) -> ExponentResult
     return ExponentResult(sg, e, m_stab, m_max)
 
 
-def _working_exponent(s: Scenario, params: FitParams) -> int | None:
-    """Cheap class partition for the fits: the gcd of a semigroup prefix.
-
-    Sound because it is a multiple of the true exponent and the volume is
-    the maximum over residue classes of *any* partition; the refinement
-    search re-subdivides as needed.  Escalates to the full horizon before
-    declaring the exponent undetermined.
-    """
-    e = g_exponent(s, min(16, params.m_max)).exponent
-    if e is not None:
-        return e
-    return g_exponent(s, params.m_max).exponent
-
-
 # ---------------------------------------------------------------------------
-# quasi-polynomial fitting
+# certified quasi-polynomial fitting
 
 
-def _diffs(seq):
-    return [b - a for a, b in zip(seq, seq[1:])]
+def _det(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for i in range(n):
+        piv = i
+        while not a[piv][i]:
+            piv += 1
+            if piv == n:
+                return 0
+        if piv != i:
+            a[i], a[piv], sign = a[piv], a[i], -sign
+        top = a[i]
+        for row in a[i + 1 :]:
+            f = row[i]
+            for c in range(i + 1, n):
+                row[c] = (row[c] * top[i] - f * top[c]) // prev
+        prev = top[i]
+    return sign * prev
 
 
-def _nth_diff(seq, order):
-    for _ in range(order):
-        seq = _diffs(seq)
-    return seq
+def _independent_rows(rows) -> list[int]:
+    """Indices of a maximal linearly independent subset of integer rows,
+    taken greedily by fraction-free row reduction."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    keep = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, b in basis:
+            if v[c]:
+                v = [b[c] * x - v[c] * y for x, y in zip(v, b)]
+        piv = next((c for c, x in enumerate(v) if x), None)
+        if piv is not None:
+            basis.append((piv, v))
+            keep.append(i)
+    return keep
 
 
-class _Sampler:
-    """Memoized h(m) = dim H^0(L^(f + m e))_mu with a sample budget."""
+def _interpolate(k_first: int, step: int, ys: list[int]) -> tuple[list[int], int]:
+    """Newton's forward-difference form of samples ys[j] = p(k_first + j*step):
+    the integer coefficients, constant term first and trailing zeros
+    dropped, of cap! step^cap p for the polynomial p of degree <= cap =
+    len(ys) - 2 through all samples but the last, and the (cap+1)-th
+    difference, which is zero exactly when the last sample lies on p too."""
+    cap = len(ys) - 2
+    poly = [0] * (cap + 1)
+    falling = [1]  # prod_(t < i) (k - k_first - t*step), constant term first
+    for i in range(cap + 1):
+        scale = ys[0] * (factorial(cap) // factorial(i)) * step ** (cap - i)
+        for c, b in enumerate(falling):
+            poly[c] += scale * b
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+        root = k_first + i * step
+        falling = [p - root * q for p, q in zip([0] + falling, falling + [0])]
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly, ys[0]
 
-    def __init__(self, s: Scenario, mu, e: int, f: int, budget: int):
-        self.s, self.mu, self.e, self.f = s, mu, e, f
-        self.budget = budget
-        self.cache: dict[int, int] = {}
 
-    def __call__(self, m: int) -> int:
-        if m not in self.cache:
-            if len(self.cache) >= self.budget:
-                raise _BudgetExhausted
-            self.cache[m] = section_dimension(self.s, self.f + m * self.e, self.mu)
-        return self.cache[m]
+def _levels(s: Scenario, mus) -> list[list[int]]:
+    """For each class r mod P, the #columns - rank A + 2 levels k = r (mod P),
+    step P, at which the fit samples, from a start k0 past which the counts
+    at every weight of `mus` are polynomial on each class."""
+    nf = len(s.factors)
+    cols = [
+        tuple(int(i == j) for i in range(nf)) + w
+        for j, f in enumerate(s.factors)
+        for w in f.torus_weights()
+    ]
+    ncols = len(cols)
+    cols = list(dict.fromkeys(cols))  # a repeated column adds no basis or wall
+    keep = _independent_rows(list(zip(*cols)))
+    d = len(keep)
+
+    def cut(v):
+        return tuple(v[i] for i in keep)
+
+    cols = [cut(c) for c in cols]
+    b1 = cut(s.bundle.degrees + tuple(-c for c in s.bundle.twist or (0,)))
+    b0s = []
+    for mu in mus:
+        nu = s.weight_vec(mu)
+        b0s += [cut((0,) * nf + w) for w in ([nu, (nu[0] + 2,)] if s.group.is_su2 else [nu])]
+    # a row whose entries share the factor g has solutions only for k in one
+    # class mod g / gcd(g, b1_i), where it may be divided by g
+    contents = [gcd(*row) for row in zip(*cols)]
+    scaled = [tuple(x // g for x, g in zip(c, contents)) for c in cols]
+    period = lcm(*(g // gcd(g, b) for g, b in zip(contents, b1))) * lcm(
+        *(abs(_det(basis)) or 1 for basis in combinations(scaled, d))
+    )
+    # a wall is spanned by d - 1 columns; <n, b> = det(wall, b) for its
+    # cofactor normal n, so the ray crosses it at k = -<n, b0> / <n, b1>
+    k0 = 0
+    for wall in combinations(cols, d - 1):
+        slope = _det(wall + (b1,))
+        for b0 in b0s if slope else ():
+            k0 = max(k0, 1 + (-_det(wall + (b0,)) // slope if any(b0) else 0))
+    return [[k0 + (r - k0) % period + j * period for j in range(ncols - d + 2)] for r in range(period)]
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _extends_polynomially(h, rho, t, j0, W, deg, ys, far: int) -> bool:
-    """Check the window's degree-`deg` polynomial also predicts the sample
-    `far` steps past the window (catches transients that merely look
-    polynomial locally)."""
-    if far <= 0:
+def _eventually_zero(s: Scenario, mu) -> bool:
+    """Whether the moment image alone shows dim H^0(L^k)_mu = 0 for large k:
+    0 lies outside it, or mu lies in no dilate of it or in finitely many."""
+    img = geometry.moment_image(s)
+    if not img.contains_zero():
         return True
-    tail = list(ys[-(deg + 1) :])
-    # vanishing (deg+1)-th differences: y_next = sum_i (-1)^i C(deg+1, i+1) y_(n-i)
-    signs = [(-1) ** i * comb(deg + 1, i + 1) for i in range(deg + 1)]
-    for _ in range(far):
-        nxt = sum(c * y for c, y in zip(signs, reversed(tail)))
-        tail = tail[1:] + [nxt]
-    return tail[-1] == h(rho + (j0 + W - 1 + far) * t)
+    k_min, k_max = img.scale_range(s.weight_vec(mu))
+    return k_min is None or k_max is not None
 
 
-def _fit_subprogression(h, rho, t, target_deg, deg_cap, m_floor, params):
-    """Fit the samples along m = rho + j t (m >= max(1, m_floor)).
+def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
+    """vol_mu restricted to each residue class f mod e_G(L), f in [0, e)."""
+    zero = s.zero_weight
+    # one start for both weights, so that they read the same levels
+    levels = _levels(s, (mu, zero))
+    period, cap = len(levels), len(levels[0]) - 2
+    polys = []  # cap! P^cap times the polynomial of each class
+    for ks in levels:
+        ys = [section_dimension(s, k, mu) for k in ks]
+        poly, excess = _interpolate(ks[0], period, ys)
+        if excess:
+            raise RuntimeError(
+                f"samples {ys} of dim H^0(L^k)_{mu} at k = {ks[0]} + {period} j fit "
+                f"no polynomial of degree <= {cap}: fitter bug"
+            )
+        polys.append(poly)
+    # e: the invariant count is eventually nonzero on class r iff one of its
+    # first cap + 1 samples is, since a polynomial of degree <= cap with
+    # cap + 1 zeros vanishes
+    e = period
+    for r, ks in enumerate(levels):
+        if any(section_dimension(s, k, zero) for k in ks[:-1]):
+            e = gcd(e, r)
+    D = s.growth_degree
+    out = []
+    for f in range(e):
+        cls = polys[f::e]
+        n = len(cls)
+        # the least shift t | n under which the class polynomials repeat
+        t = next(t for t in range(1, n + 1) if n % t == 0 and cls == cls[t:] + cls[:t])
+        degree = max(len(p) for p in cls) - 1
+        fit = FitData(f, t * e, max(degree, 0))
+        if degree > D:
+            out.append(_estimate(s, None, INFINITE, fit))
+            continue
+        top = max(p[D] if len(p) > D else 0 for p in cls)
+        value = Fraction(factorial(D) * top, factorial(cap) * period**cap)
+        out.append(_estimate(s, value, EXACT if value > 0 else ZERO, fit))
+    return out
 
-    Returns (degree, coeff_target, fitdata) where coeff_target is the
-    exact degree-`target_deg` coefficient times target_deg! (i.e. the
-    volume contribution) when degree <= target_deg, else None.  Returns
-    None when no polynomial of degree <= deg_cap fits within the horizon.
-    """
-    j_base = 0
-    while rho + j_base * t < max(1, m_floor):
-        j_base += 1
-    P = t * h.e
-    for j0 in range(j_base, j_base + params.start_max + 1):
-        for deg in range(0, deg_cap + 1):
-            W = max(deg, target_deg) + params.window_pad + params.confirm
-            try:
-                ys = [h(rho + (j0 + i) * t) for i in range(W)]
-                if any(d != 0 for d in _nth_diff(ys, deg + 1)):
-                    continue
-                if not _extends_polynomially(h, rho, t, j0, W, deg, ys, params.far_check):
-                    continue
-            except _BudgetExhausted:
-                return None
-            k0 = h.f + (rho + j0 * t) * h.e
-            if deg > target_deg:
-                lead = Fraction(_nth_diff(ys, deg)[0])
-                if lead <= 0:
-                    raise RuntimeError(f"degree overshoot with leading term {lead} <= 0: fitter bug")
-                fd = FitData(h.f, P, k0, tuple(ys), deg, lead / P**deg)
-                return deg, None, fd
-            coeff = Fraction(_nth_diff(ys, target_deg)[0]) / Fraction(P) ** target_deg
-            fd = FitData(h.f, P, k0, tuple(ys), deg, coeff)
-            return deg, coeff, fd
-    return None
 
-
-def residue_volume(s: Scenario, mu, f: int, params: FitParams = DEFAULT_PARAMS) -> ResidueVolume:
+def residue_volume(s: Scenario, mu, f: int) -> ResidueVolume:
     """limsup of (n-g)! h^0_mu(L^k)/k^(n-g) along k = f (mod e_G(L))."""
     s.check_dominant(mu)
-    e = g_exponent(s, params.m_max).exponent
-    if e is not None:
-        return _residue_volume_with_exponent(s, mu, f, e, params)
-    if geometry.moment_image(s).contains_zero():
-        return ResidueVolume(f, _estimate(s, None, NOT_STABILIZED))
-    return ResidueVolume(f, _estimate(s, Fraction(0), ZERO))
-
-
-def _residue_volume_with_exponent(
-    s: Scenario, mu, f: int, e: int, params: FitParams
-) -> ResidueVolume:
-    img = geometry.moment_image(s)
-    f = f % e
-
-    mu_vec = s.weight_vec(mu)
-    k_min, k_max = img.scale_range(mu_vec)
-    if k_min is None or k_max is not None:
-        # mu outside every dilate of the image, or a finite support: the
-        # dimension sequence is eventually zero
+    if _eventually_zero(s, mu):
         return ResidueVolume(f, _estimate(s, Fraction(0), ZERO))
-    m_floor = max(1, -(-(k_min - f) // e))  # first m with f + m e >= k_min
-
-    D = s.growth_degree
-    deg_cap = s.dim  # counts grow at most like k^n
-    h = _Sampler(s, mu, e, f, params.max_samples)
-    try:
-        for t in range(1, params.period_factor_max + 1):
-            fits = []
-            for rho in range(1, t + 1):
-                res = _fit_subprogression(h, rho, t, D, deg_cap, m_floor, params)
-                if res is None:
-                    fits = None
-                    break
-                fits.append(res)
-            if fits is None:
-                continue
-            worst = max(fits, key=lambda r: r[0])
-            if worst[0] > D:
-                return ResidueVolume(f, _estimate(s, None, INFINITE, worst[2]))
-            best = max(fits, key=lambda r: r[1])
-            value = best[1]
-            status = EXACT if value > 0 else ZERO
-            return ResidueVolume(f, _estimate(s, value, status, best[2]))
-    except _BudgetExhausted:
-        pass
-    return ResidueVolume(f, _estimate(s, None, NOT_STABILIZED))
+    estimates = _residue_estimates(s, mu)
+    f %= len(estimates)
+    return ResidueVolume(f, estimates[f])
 
 
-def equivariant_volume(s: Scenario, mu, params: FitParams = DEFAULT_PARAMS) -> VolumeEstimate:
-    """vol_mu(L): maximum of the residue-class volumes over f in [0, e)."""
+def equivariant_volume(s: Scenario, mu) -> VolumeEstimate:
+    """vol_mu(L): the maximum of the residue-class volumes, attained first
+    at the reported residue, or the first infinite one."""
     s.check_dominant(mu)
-    if not geometry.moment_image(s).contains_zero():
-        # unstable everywhere: isotypic dimensions vanish for large powers
+    if _eventually_zero(s, mu):
         return _estimate(s, Fraction(0), ZERO)
-    e = _working_exponent(s, params)
-    if e is None:
-        return _estimate(s, None, NOT_STABILIZED)
-    best: VolumeEstimate | None = None
-    for f in range(e):
-        rv = _residue_volume_with_exponent(s, mu, f, e, params).estimate
-        if rv.status == INFINITE:
-            return rv
-        if rv.status == NOT_STABILIZED:
-            return rv
-        if best is None or rv.value > best.value:
-            best = rv
-    return best
+    estimates = _residue_estimates(s, mu)
+    infinite = [est for est in estimates if est.status == INFINITE]
+    return infinite[0] if infinite else max(estimates, key=lambda est: est.value)
 
 
 def homogeneity_transform(

@@ -1,9 +1,12 @@
 """CLI surface: commands, formats, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from equivol import cli
 from equivol.cli import main
 from equivol.corpus import scenario_path
 
@@ -171,11 +174,62 @@ def test_engine_limit_is_input_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# documents that each give one field a value of the wrong JSON type
+BASE = {"group": "circle_power", "g": 1, "factors": [{"dim": 2, "weights": [1, 0, -1]}],
+        "bundle": {"degrees": [1]}}
+SU2_BASE = {"group": "su2", "g": 3, "factors": [{"dim": 3, "sym_powers": [3]}], "bundle": {"degrees": [1]}}
+
+
+def _with(base, path, value):
+    """A copy of `base` with the entry at the key path set to `value`."""
+    doc = json.loads(json.dumps(base))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize(
-    "flag, field",
-    [("--p-max=0", "period_factor_max"), ("--k-max=0", "m_max"), ("--p-max=-1", "period_factor_max")],
+    "doc, field",
+    [
+        (_with(BASE, ("factors", 0, "dim"), "2"), "factors[0].dim"),
+        (_with(BASE, ("factors", 0, "weights"), None), "factors[0].weights"),
+        (_with(BASE, ("factors", 0, "weights"), [1, 0.5, -1]), "factors[0].weights"),
+        (_with(BASE, ("bundle", "degrees"), 1), "bundle.degrees"),
+        (_with(BASE, ("g",), True), "g"),
+        (_with(BASE, ("bundle", "degrees"), "1"), "bundle.degrees"),
+        (_with(BASE, ("bundle", "degrees"), [True]), "bundle.degrees"),
+        (_with(SU2_BASE, ("factors", 0, "sym_powers"), "3"), "factors[0].sym_powers"),
+        (_with(BASE, ("bundle", "twist"), "1"), "bundle.twist"),
+    ],
 )
-def test_bad_fit_horizon_is_input_error(capsys, flag, field):
-    code, out, err = run(capsys, "volume", "--scenario", P2, "--mu", "0", flag)
+def test_mistyped_field_is_input_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", "--scenario", str(path))
     assert code == 2 and out == ""
-    assert f"`{field}`" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"`{field}`" in lines[0]
+
+
+def _documented_commands():
+    """Every `equivol ...` line of the README's command-line block and of the
+    cli module docstring, as argument lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + cli.__doc__.splitlines()
+    commands = [line for line in lines if line.strip().startswith("equivol ")]
+    return [shlex.split(line, comments=True)[1:] for line in commands]
+
+
+def test_documented_commands_parse():
+    commands = _documented_commands()
+    assert len(commands) >= 16
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"documented command does not parse: equivol {shlex.join(argv)}")

@@ -1,7 +1,8 @@
 """Property tests: the packed counting engine against the brute-force oracle
 on random small scenarios of every torus rank, with negative weights,
 constant coordinates and twists; and the closed-form Duistermaat-Heckman
-volume against invariant counts on random regular P^2 scenarios.
+volume against invariant counts on random regular P^2 scenarios and
+against the fitted volume on random regular P^1..P^5 scenarios.
 
 Examples are derandomized; their number is bounded for run time only.
 """
@@ -16,6 +17,7 @@ from equivol import (
     circle_scenario,
     classify_stability,
     dh_slice_volume,
+    equivariant_volume,
     full_weight_distribution,
     section_dimension,
     su2_scenario,
@@ -113,3 +115,19 @@ def test_dh_volume_is_lattice_length_of_invariant_slice(s):
         h = section_dimension(s, k, 0)
         if h > 0:
             assert vol * k - 1 <= h <= vol * k + 1, (k, h, vol)
+
+
+@st.composite
+def regular_single_factor_scenarios(draw):
+    n = draw(st.integers(1, 5))
+    span = 3 if n <= 3 else 2
+    weights = draw(st.lists(st.integers(-span, span), min_size=n + 1, max_size=n + 1))
+    s = circle_scenario([weights], [draw(st.integers(1, 2))], twist=draw(st.integers(-2, 2)))
+    assume(classify_stability(s).stability == "regular")
+    return s
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(regular_single_factor_scenarios())
+def test_fitted_volume_equals_dh_slice_volume(s):
+    assert equivariant_volume(s, 0).value == dh_slice_volume(s)

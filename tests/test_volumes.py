@@ -14,6 +14,7 @@ from equivol import (
     residue_volume,
     scenario_power,
     su2_scenario,
+    volumes,
 )
 
 
@@ -191,15 +192,45 @@ def test_volume_twisted_p2():
         assert equivariant_volume(s, 0).value == Fraction(d - c, 2), (d, c)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the fit accepts a period-7 window of unit increments on P^2 (-2,3,-3) "
-    "O(1) twist 1 and returns 1/7; the slope per period step is 14/15, so "
-    "vol_0 = 2/15 (closed form; 161 invariants at k = 1200)",
-)
 def test_volume_wide_weights_p2():
+    # closed form 2/15; 161 invariants at k = 1200
     s = circle_scenario([[-2, 3, -3]], [1], twist=1)
     assert equivariant_volume(s, 0).value == Fraction(2, 15)
+
+
+@pytest.mark.parametrize(
+    "weights, degrees, twist, mu, vol",
+    [
+        ([[1, -3, 2]], [1], 2, 0, Fraction(1, 20)),  # = dh_slice_volume
+        ([[3, -3], [3, -2]], [1, 1], -2, 0, Fraction(2, 15)),
+        ([[-3, 1, -2, 3]], [2], 1, -3, Fraction(53, 120)),
+        # weight rows with a common factor: the period comes from the rows
+        # divided by it, and the twist confines solutions to one class of k
+        ([[100, -100]], [1], 0, 0, 1),
+        ([[8, -8, 4, 0]], [2], 2, -4, Fraction(49, 96)),  # = predicted_volume
+    ],
+)
+def test_volume_pins(weights, degrees, twist, mu, vol):
+    s = circle_scenario(weights, degrees, twist=twist)
+    assert equivariant_volume(s, mu).value == vol
+
+
+def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
+    # every class carries one sample beyond those it is interpolated from;
+    # shifting the first sample at mu = 1 by one must be caught, not absorbed
+    true_dimension = volumes.section_dimension
+    shifted = []
+
+    def perturbed(s, k, mu):
+        bump = mu == 1 and not shifted
+        if bump:
+            shifted.append(k)
+        return true_dimension(s, k, mu) + bump
+
+    monkeypatch.setattr(volumes, "section_dimension", perturbed)
+    with pytest.raises(RuntimeError, match="fit no polynomial"):
+        equivariant_volume(p2_circle, 1)
+    assert len(shifted) == 1
 
 
 # --- transformation laws ------------------------------------------------------
