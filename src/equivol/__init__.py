@@ -30,6 +30,7 @@ from .counting import (
     isotypic_multiplicity,
     isotypic_table,
     section_dimension,
+    section_dimensions,
     total_dimension,
 )
 from .geometry import (

@@ -22,8 +22,10 @@ its neighbour.  The factor recurrence h_m += x_i * h_(m-1) is then a
 shift-add on ints (run in the box of the factor's own weights, then placed
 into the product's layout), the product over factors is one big-int
 multiply, and the same code serves every torus rank.  The product is
-cached as bytes (:class:`_Packed`); the twist never enters the cache key
-but is applied as an offset when a slot is read.
+cached as bytes (:class:`_Packed`), keyed by the factors' torus weights and
+levels; the twist never enters the cache key but is applied as an offset
+when a slot is read.  :func:`section_dimensions` reads one weight at many
+levels in one call.
 
 The two routes must agree everywhere the oracle runs; the verification
 suites check this.
@@ -44,7 +46,7 @@ from itertools import product
 from math import comb, gcd, prod
 from typing import NamedTuple
 
-from .model import ProjectiveFactor, Scenario, ScenarioError
+from .model import Scenario, ScenarioError
 
 # Cap on packed DP cells (degree x packed slots x coordinates, per factor)
 # and on the packed slots of the product; raise for deliberately huge runs.
@@ -107,15 +109,17 @@ def _place(h: int, box: list[int], strides: list[int], nbytes: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _packed(factors: tuple[ProjectiveFactor, ...], levels: tuple[int, ...], cell_budget: int) -> _Packed:
+def _packed(wss: tuple, levels: tuple[int, ...], cell_budget: int) -> _Packed:
     """Weight counts of the degree-`levels` monomials of the product of
-    `factors`, as one packed record.
+    factors with torus weights `wss` (one tuple of weight vectors per
+    factor), as one packed record.
 
     Each factor's DP runs in the box of its own weights, so a factor that
     moves in one coordinate only stays as small as at rank 1; it is then
-    placed into the product's layout for the multiply.
+    placed into the product's layout for the multiply.  Keyed by torus
+    weights, so scenarios that share them (an SU(2) block and the circle
+    action with its weights) share every level.
     """
-    wss = [f.torus_weights() for f in factors]
     axes = range(len(wss[0][0]))
     mins = [[min(w[i] for w in ws) for i in axes] for ws in wss]
     boxes = [
@@ -126,7 +130,7 @@ def _packed(factors: tuple[ProjectiveFactor, ...], levels: tuple[int, ...], cell
     nslots = prod(spans)
     if nslots > cell_budget:
         raise EngineLimit(f"packed weight counts need {nslots} slots > budget {cell_budget}")
-    total = prod(comb(f.dim + m, f.dim) for f, m in zip(factors, levels))
+    total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(wss, levels))
     nbytes = max(1, (total.bit_length() + 7) // 8)
     strides = [prod(spans[i + 1 :]) for i in axes]
     packed = 1
@@ -138,13 +142,6 @@ def _packed(factors: tuple[ProjectiveFactor, ...], levels: tuple[int, ...], cell
         shifts = [8 * nbytes * sum((w[i] - a[i]) * box_strides[i] for i in axes) for w in ws]
         packed *= _place(_complete_homogeneous(shifts, m), box, strides, nbytes)
     return _Packed(lo, spans, nbytes, packed.to_bytes(nslots * nbytes, _ORDER))
-
-
-def _level(s: Scenario, k: int, cell_budget: int) -> tuple[_Packed, tuple[int, ...]]:
-    """The packed counts of level k, and the bundle's character c (zero
-    when it has none); weights are read at an offset of k*c."""
-    p = _packed(s.factors, tuple([k * d for d in s.bundle.degrees]), cell_budget)
-    return p, s.bundle.twist or (0,) * len(p.lo)
 
 
 def _slots(p: _Packed) -> tuple[int, ...]:
@@ -161,7 +158,8 @@ def torus_weight_counts(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUD
     Rank 1 returns (offset, counts tuple) over the hull of the weights;
     rank >= 2 returns a dict keyed by the weight vectors of the support.
     """
-    p, twist = _level(s, k, cell_budget)
+    p = _packed(s.torus_weights, tuple([k * d for d in s.bundle.degrees]), cell_budget)
+    twist = s.bundle.twist or (0,) * len(p.lo)  # weights are read at an offset of k * twist
     counts = _slots(p)
     if len(p.spans) == 1:
         return p.lo[0] + k * twist[0], counts
@@ -182,25 +180,42 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
-def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
-    """Multiplicity N(mu) of V_mu inside H^0(M, L^k)."""
-    if k < 0:
-        raise ScenarioError("tensor power must be >= 0")
-    mu_vec = s.weight_vec(mu)
-    p, twist = _level(s, k, cell_budget)
-    if not s.group.is_su2:
-        return _weight_count(p, mu_vec, k, twist)
-    s.check_dominant(mu)
-    v = mu_vec[0]
-    n = _weight_count(p, (v,), k, twist) - _weight_count(p, (v + 2,), k, twist)
-    if n < 0:
-        raise RuntimeError(f"su2 weight distribution not unimodal at mu={v}, k={k}: engine bug")
-    return n
+def section_dimensions(s: Scenario, mu, ks, cell_budget: int = DEFAULT_CELL_BUDGET) -> list[int]:
+    """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one per
+    level k of `ks`, in the order given.
+
+    `mu` and the bundle are read once; each level then costs one slot of
+    its packed counts, two for SU(2), where N(mu) is the torus count at mu
+    minus that at mu + 2.
+    """
+    vec = s.weight_vec(mu)
+    dim = s.dim_irrep(mu)
+    wss = s.torus_weights
+    degrees = s.bundle.degrees
+    twist = s.bundle.twist or (0,) * len(vec)
+    above = (vec[0] + 2,) if s.group.is_su2 else None
+    out = []
+    for k in ks:
+        if k < 0:
+            raise ScenarioError("tensor power must be >= 0")
+        p = _packed(wss, tuple([k * d for d in degrees]), cell_budget)
+        n = _weight_count(p, vec, k, twist)
+        if above:
+            n -= _weight_count(p, above, k, twist)
+            if n < 0:
+                raise RuntimeError(f"su2 weight distribution not unimodal at mu={vec[0]}, k={k}: engine bug")
+        out.append(n * dim)
+    return out
 
 
 def section_dimension(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
     """Isotypic dimension dim H^0(M, L^k)_mu = N(mu) * dim V_mu."""
-    return isotypic_multiplicity(s, k, mu, cell_budget) * s.dim_irrep(mu)
+    return section_dimensions(s, mu, (k,), cell_budget)[0]
+
+
+def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+    """Multiplicity N(mu) of V_mu inside H^0(M, L^k)."""
+    return section_dimensions(s, mu, (k,), cell_budget)[0] // s.dim_irrep(mu)
 
 
 def full_weight_distribution(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> dict:

@@ -5,7 +5,9 @@ computed combinatorially: the image of the Fubini-Study moment map of a
 diagonal linear action is the multidegree-weighted Minkowski sum of the
 per-factor coordinate-weight hulls, translated by the character twist.
 Every section weight of L^k lies in k times this image, which is what the
-vanishing machinery exploits.
+vanishing machinery exploits.  Each image keeps its facets as integer
+half-planes, so asking whether mu lies in k times it, or for which k it
+does, takes integer dot products and floor division, never a Fraction.
 
 Stability of a bundle is read off the position of the origin:
 
@@ -27,7 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from functools import cached_property
+from math import gcd
+from operator import mul
 
 from .model import Rational, Scenario, UnsupportedScenario
 
@@ -83,6 +87,10 @@ class MomentImage:
     rank 1 (circle g=1, and the su2 dominant picture) stores an interval;
     rank 2 stores a hull vertex list in counterclockwise order (1 or 2
     vertices when degenerate).
+
+    Queries run on integer half-planes computed once per image: a pair
+    (beta, a) means beta*r <= <a, mu>, so mu lies in r * image exactly when
+    every inequality holds and every equality beta*r == <a, mu> does.
     """
 
     rank: int
@@ -96,29 +104,46 @@ class MomentImage:
         vals = [v[0] for v in self.vertices]
         return (min(vals), max(vals))
 
-    def contains_zero(self) -> bool:
-        lo, hi = self._scale_range_raw((0,) * self.rank)
-        # 0 in the image iff mu=0 admits every scale, i.e. scale 1 works
-        return _scale_admits(lo, hi, 1)
+    @cached_property
+    def _half_planes(self) -> tuple[tuple, tuple]:
+        """(inequalities, equalities), each a tuple of integer pairs
+        (beta, a) read as beta*r <= <a, mu> or beta*r == <a, mu>.
 
-    def zero_interior(self) -> bool:
+        An interval [lo, hi] gives lo*r <= mu and -hi*r <= -mu (times the
+        denominators); a polygon one inequality per counterclockwise edge
+        e from v, cross(e, v)*r <= cross(e, mu); a segment pq the line
+        through it as an equality and its two ends; a point one equality
+        per coordinate.
+        """
         if self.rank == 1:
             lo, hi = self.interval
-            return lo < 0 < hi
-        if len(self.vertices) < 3:
-            return False
+            return ((lo.numerator, (lo.denominator,)), (-hi.numerator, (-hi.denominator,))), ()
         vs = self.vertices
-        for i, v in enumerate(vs):
-            w = vs[(i + 1) % len(vs)]
-            e = (w[0] - v[0], w[1] - v[1])
-            if -_cross(e, v) <= 0:
-                return False
-        return True
+        if len(vs) == 1:
+            ((x, y),) = vs
+            return (), ((x, (1, 0)), (y, (0, 1)))
+        edges = [(v, (w[0] - v[0], w[1] - v[1])) for v, w in zip(vs, vs[1:] + vs[:1])]
+        if len(vs) == 2:
+            (p, e), (q, _) = edges
+            return ((_dot(p, e), e), (-_dot(q, e), (-e[0], -e[1]))), ((_cross(e, p), (-e[1], e[0])),)
+        return tuple((_cross(e, v), (-e[1], e[0])) for v, e in edges), ()
+
+    def contains_zero(self) -> bool:
+        ineqs, eqs = self._half_planes
+        return all(beta <= 0 for beta, _ in ineqs) and all(beta == 0 for beta, _ in eqs)
+
+    def zero_interior(self) -> bool:
+        ineqs, eqs = self._half_planes
+        return not eqs and all(beta < 0 for beta, _ in ineqs)
 
     def scaled_contains(self, mu_vec: tuple[int, ...], k: int) -> bool:
         """Exact test mu in k * image."""
-        lo, hi = self._scale_range_raw(mu_vec)
-        return _scale_admits(lo, hi, k)
+        ineqs, eqs = self._half_planes
+        return (
+            k >= 0
+            and all(beta * k <= sum(map(mul, a, mu_vec)) for beta, a in ineqs)
+            and all(beta * k == sum(map(mul, a, mu_vec)) for beta, a in eqs)
+        )
 
     def scale_range(self, mu_vec: tuple[int, ...]) -> tuple[int | None, int | None]:
         """Integer interval of scales r >= 1 with mu in r*image.
@@ -126,72 +151,30 @@ class MomentImage:
         Returns (r_min, r_max); r_max is None when unbounded, (None, None)
         when no scale admits mu.
         """
-        lo, hi = self._scale_range_raw(mu_vec)
-        r_min = max(1, ceil(lo)) if lo is not None else None
-        if r_min is None:
-            return (None, None)
-        r_max = None
-        if hi is not None:
-            r_max = floor(hi)
-            if r_max < r_min:
-                return (None, None)
-        return (r_min, r_max)
-
-    # constraint solving: each hull facet contributes beta*r <= alpha with
-    # alpha, beta linear data; degenerate images add exact equalities.
-    def _scale_range_raw(self, mu_vec):
-        mu = tuple(Fraction(x) for x in mu_vec)
-        lo: Fraction | None = Fraction(0)
-        hi: Fraction | None = None
-        eqs: list[tuple[Fraction, Fraction]] = []
-        ineqs: list[tuple[Fraction, Fraction]] = []
-        if self.rank == 1:
-            a, b = self.interval
-            ineqs.append((a, mu[0]))
-            ineqs.append((-b, -mu[0]))
-        elif len(self.vertices) == 1:
-            p = self.vertices[0]
-            eqs.extend(((Fraction(p[0]), mu[0]), (Fraction(p[1]), mu[1])))
-        elif len(self.vertices) == 2:
-            p, q = self.vertices
-            e = (q[0] - p[0], q[1] - p[1])
-            eqs.append((Fraction(_cross(e, p)), Fraction(_cross(e, mu))))
-            ineqs.append((Fraction(_dot(p, e)), Fraction(_dot(mu, e))))
-            ineqs.append((Fraction(-_dot(q, e)), Fraction(-_dot(mu, e))))
-        else:
-            vs = self.vertices
-            for i, v in enumerate(vs):
-                w = vs[(i + 1) % len(vs)]
-                e = (w[0] - v[0], w[1] - v[1])
-                ineqs.append((Fraction(_cross(e, v)), Fraction(_cross(e, mu))))
-        for beta, alpha in ineqs:
+        ineqs, eqs = self._half_planes
+        r_min, r_max = 1, None
+        for beta, a in ineqs:
+            alpha = sum(map(mul, a, mu_vec))
             if beta > 0:
-                cand = alpha / beta
-                hi = cand if hi is None else min(hi, cand)
-            elif beta == 0:
-                if alpha < 0:
-                    return (None, None)
-            else:
-                lo = max(lo, alpha / beta)
-        for a, b in eqs:
-            if a == 0:
-                if b != 0:
+                r_max = alpha // beta if r_max is None else min(r_max, alpha // beta)
+            elif beta < 0:
+                r_min = max(r_min, -(alpha // -beta))
+            elif alpha < 0:
+                return (None, None)
+        for beta, a in eqs:
+            alpha = sum(map(mul, a, mu_vec))
+            if beta == 0:
+                if alpha:
                     return (None, None)
                 continue
-            r = b / a
-            lo = max(lo, r)
-            hi = r if hi is None else min(hi, r)
-            if r.denominator != 1:
+            r, rem = divmod(alpha, beta)
+            if rem:
                 return (None, None)
-        if hi is not None and lo is not None and hi < lo:
+            r_min = max(r_min, r)
+            r_max = r if r_max is None else min(r_max, r)
+        if r_max is not None and r_max < r_min:
             return (None, None)
-        return (lo, hi)
-
-
-def _scale_admits(lo, hi, k) -> bool:
-    if lo is None:
-        return False
-    return lo <= k and (hi is None or k <= hi)
+        return (r_min, r_max)
 
 
 def supported(s: Scenario) -> bool:
@@ -569,10 +552,9 @@ def vanishing_certificate(s: Scenario, mu) -> int | None:
         return None
     mu_vec = s.weight_vec(mu)
     s.check_dominant(mu)
-    _, r_max = img.scale_range(mu_vec)
+    r_min, r_max = img.scale_range(mu_vec)
     if r_max is None:
-        r_lo, _ = img.scale_range(mu_vec)
-        if r_lo is None:
+        if r_min is None:
             return 1
         raise RuntimeError("unbounded scale range although 0 is outside the image")
     return r_max + 1

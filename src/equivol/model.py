@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 Rational = Fraction
@@ -127,6 +128,12 @@ class Scenario:
     @property
     def negative_quotient(self) -> bool:
         return self.quotient_degree < 0
+
+    @cached_property
+    def torus_weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each factor's torus weight vectors, built once per scenario; the
+        packed counts are cached under them."""
+        return tuple(f.torus_weights() for f in self.factors)
 
     def weight_key(self, vec: tuple[int, ...] | int):
         """Public form of a weight: plain int when 1-dimensional."""

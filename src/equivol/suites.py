@@ -15,7 +15,13 @@ from itertools import product
 from math import gcd
 
 from . import geometry
-from .counting import brute_force_oracle, conservation_sides, full_weight_distribution, section_dimension
+from .counting import (
+    brute_force_oracle,
+    conservation_sides,
+    full_weight_distribution,
+    section_dimension,
+    section_dimensions,
+)
 from .model import LinearizedBundle, Scenario, scenario_power, tensor_product, with_bundle
 from .tables import render_rational, render_weight
 from .volumes import equivariant_volume, g_exponent, g_semigroup, mu_semigroup
@@ -264,9 +270,7 @@ def suite_vanishing(corpus, k_support: int = 12, k_max: int = 40) -> SuiteReport
             continue
         for mu in s.default_mus():
             r = geometry.vanishing_certificate(s, mu)
-            ok = r is not None and all(
-                section_dimension(s, k, mu) == 0 for k in range(r, k_max + 1)
-            )
+            ok = r is not None and not any(section_dimensions(s, mu, range(r, k_max + 1)))
             records.append(
                 CheckRecord(
                     name,

@@ -29,7 +29,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 
 from . import geometry
-from .counting import section_dimension
+from .counting import section_dimensions
 from .model import Rational, Scenario, ScenarioError
 
 EXACT = "exact"
@@ -104,7 +104,8 @@ def mu_semigroup(s: Scenario, mu, m_max: int) -> frozenset[int]:
     """{m in [1, m_max] : H^0(M, L^m)_mu != 0}."""
     if m_max < 1:
         raise ScenarioError("m_max must be >= 1")
-    return frozenset(m for m in range(1, m_max + 1) if section_dimension(s, m, mu) > 0)
+    ms = range(1, m_max + 1)
+    return frozenset(m for m, h in zip(ms, section_dimensions(s, mu, ms)) if h > 0)
 
 
 @lru_cache(maxsize=None)
@@ -192,8 +193,8 @@ def _levels(s: Scenario, mus) -> list[list[int]]:
     nf = len(s.factors)
     cols = [
         tuple(int(i == j) for i in range(nf)) + w
-        for j, f in enumerate(s.factors)
-        for w in f.torus_weights()
+        for j, ws in enumerate(s.torus_weights)
+        for w in ws
     ]
     ncols = len(cols)
     cols = list(dict.fromkeys(cols))  # a repeated column adds no basis or wall
@@ -241,14 +242,17 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
     zero = s.zero_weight
     # one start for both weights, so that they read the same levels
     levels = _levels(s, (mu, zero))
-    period, cap = len(levels), len(levels[0]) - 2
+    period, width = len(levels), len(levels[0])
+    cap = width - 2
+    ks = [k for row in levels for k in row]
+    counts, invariants = section_dimensions(s, mu, ks), section_dimensions(s, zero, ks)
     polys = []  # cap! P^cap times the polynomial of each class
-    for ks in levels:
-        ys = [section_dimension(s, k, mu) for k in ks]
-        poly, excess = _interpolate(ks[0], period, ys)
+    for r in range(period):
+        ys = counts[r * width : (r + 1) * width]
+        poly, excess = _interpolate(levels[r][0], period, ys)
         if excess:
             raise RuntimeError(
-                f"samples {ys} of dim H^0(L^k)_{mu} at k = {ks[0]} + {period} j fit "
+                f"samples {ys} of dim H^0(L^k)_{mu} at k = {levels[r][0]} + {period} j fit "
                 f"no polynomial of degree <= {cap}: fitter bug"
             )
         polys.append(poly)
@@ -256,8 +260,8 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
     # first cap + 1 samples is, since a polynomial of degree <= cap with
     # cap + 1 zeros vanishes
     e = period
-    for r, ks in enumerate(levels):
-        if any(section_dimension(s, k, zero) for k in ks[:-1]):
+    for r in range(period):
+        if any(invariants[r * width : (r + 1) * width - 1]):
             e = gcd(e, r)
     D = s.growth_degree
     out = []

@@ -12,13 +12,16 @@ import pytest
 
 from equivol import (
     EngineLimit,
+    ScenarioError,
     brute_force_oracle,
     circle_scenario,
+    counting,
     full_weight_distribution,
     isotypic_multiplicity,
     isotypic_table,
     scenario_from_dict,
     section_dimension,
+    section_dimensions,
     su2_scenario,
     total_dimension,
 )
@@ -195,3 +198,30 @@ def test_rank2_cell_budget_guard():
     with pytest.raises(EngineLimit):
         full_weight_distribution(s, 50)
     assert section_dimension(s, 1, (1000, 1000)) == 1
+
+
+def test_section_dimensions_pins(su2_p3, p2_circle):
+    assert section_dimensions(su2_p3, 3, [5, 0, 4, 3, 5]) == [16, 0, 0, 16, 16]
+    assert section_dimensions(p2_circle, 0, [2 * r for r in range(5)]) == [1, 2, 3, 4, 5]
+    assert section_dimensions(p2_circle, 0, []) == []
+
+
+def test_section_dimensions_rejects_bad_input(su2_p3, p1p1_diag):
+    with pytest.raises(ScenarioError, match="tensor power"):
+        section_dimensions(su2_p3, 1, [2, -1])
+    with pytest.raises(ScenarioError, match="highest weights"):
+        section_dimensions(su2_p3, -1, [2])
+    with pytest.raises(ScenarioError, match="length 2"):
+        section_dimensions(p1p1_diag, 0, [2])
+
+
+def test_packed_counts_are_shared_by_equal_torus_weights(p1_hyperplane):
+    # SU(2) on P(V) has torus weights (1, -1), as does p1_hyperplane: the
+    # SU(2) reading at level 5 finds the level the circle action built
+    su2_p1 = su2_scenario([[1]], [1])
+    counting._packed.cache_clear()
+    section_dimension(p1_hyperplane, 5, 1)
+    assert counting._packed.cache_info().misses == 1
+    assert section_dimension(su2_p1, 5, 1) == 0  # H^0(O(5)) = V_5
+    assert section_dimension(su2_p1, 5, 5) == 6
+    assert counting._packed.cache_info().misses == 1

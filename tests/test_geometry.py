@@ -58,6 +58,48 @@ def test_image_is_weight_hull_at_small_k(corpus):
                 assert img.scaled_contains(s.weight_vec(mu), k), (name, k, mu)
 
 
+@pytest.mark.parametrize(
+    "weights, mu, scales, zero",
+    [
+        # rank 1, a point: one scale, and only at a multiple
+        ([[2, 2]], 6, (3, 3), (False, False)),
+        ([[2, 2]], 5, (None, None), (False, False)),
+        # rank 1, an end at 0: that half-plane has beta = 0
+        ([[0, 3]], -1, (None, None), (True, False)),
+        ([[0, 3]], 2, (1, None), (True, False)),
+        # rank 2, a point: two equalities, integral or not, of either sign
+        ([[(2, -1), (2, -1)]], (6, -3), (3, 3), (False, False)),
+        ([[(2, -1), (2, -1)]], (5, -3), (None, None), (False, False)),
+        ([[(2, -1), (2, -1)]], (-2, 1), (None, None), (False, False)),
+        # rank 2, the origin: equalities with beta = 0
+        ([[(0, 0), (0, 0)]], (0, 0), (1, None), (True, False)),
+        ([[(0, 0), (0, 0)]], (1, 0), (None, None), (True, False)),
+        # rank 2, a segment on a line through 0 (beta = 0), then off it
+        ([[(1, 1), (3, 3)]], (2, 2), (1, 2), (False, False)),
+        ([[(1, 1), (3, 3)]], (2, 3), (None, None), (False, False)),
+        ([[(1, 0), (1, 2)]], (3, 1), (3, 3), (False, False)),
+        ([[(2, 0), (2, 2)]], (3, 1), (None, None), (False, False)),
+        # rank 2, a polygon around 0, and one with 0 on an edge
+        ([[(1, 0), (-1, 0)], [(0, 1), (0, -1)]], (3, -2), (3, None), (True, True)),
+        ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, -1), (None, None), (True, False)),
+        ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, 1), (1, None), (True, False)),
+    ],
+)
+def test_scale_range_degenerate_branches(weights, mu, scales, zero):
+    s = circle_scenario(weights, [1] * len(weights), g=1 if isinstance(mu, int) else 2)
+    img = moment_image(s)
+    vec = s.weight_vec(mu)
+    assert img.scale_range(vec) == scales
+    assert (img.contains_zero(), img.zero_interior()) == zero
+    r_min, r_max = scales
+    admitted = set() if r_min is None else set(range(r_min, (r_max or 9) + 1))
+    assert {r for r in range(1, 10) if img.scaled_contains(vec, r)} == admitted
+    # the cached half-planes are no field: a queried image equals and
+    # prints as a fresh one
+    fresh = moment_image(s)
+    assert (img, repr(img)) == (fresh, repr(fresh))
+
+
 def test_su2_images(su2_p3):
     assert moment_image(su2_p3).interval == (0, 1)
     assert moment_image(su2_scenario([[1]], [2])).interval == (2, 2)

@@ -194,3 +194,27 @@ def test_engine_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+
+def _is_cache(node) -> bool:
+    """Whether `node` names functools' lru_cache or cache, or calls it."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_no_new_module_level_caches():
+    # per-scenario state belongs on objects: a module-level cache grows
+    # without bound, and only these two are left to move into an engine
+    allowed = {"counting._packed", "volumes.g_exponent"}
+    found = set()
+    for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_is_cache(d) for d in node.decorator_list):
+                    found.add(f"{path.stem}.{node.name}")
+            elif any(_is_cache(n) for n in ast.walk(node)):
+                found.add(f"{path.stem}:{node.lineno}")
+    assert found <= allowed, found - allowed

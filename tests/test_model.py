@@ -144,6 +144,13 @@ def test_zero_weight(p1_hyperplane, p1p1_diag, su2_p3):
     assert su2_p3.zero_weight == 0
 
 
+def test_torus_weights(p1p1_diag, su2_p3):
+    assert p1p1_diag.torus_weights == (((1, 0), (-1, 0)), ((0, 1), (0, -1)))
+    assert su2_p3.torus_weights == (((1,), (-1,), (1,), (-1,)),)
+    # built once: the packed-count cache holds one key per scenario
+    assert su2_p3.torus_weights is su2_p3.torus_weights
+
+
 def test_dim_irrep(p2_circle, p1p1_diag, su2_p3):
     assert p2_circle.dim_irrep(5) == 1
     assert p1p1_diag.dim_irrep((-3, 2)) == 1

@@ -1,13 +1,18 @@
-"""Property tests: the packed counting engine against the brute-force oracle
-on random small scenarios of every torus rank, with negative weights,
-constant coordinates and twists; and the closed-form Duistermaat-Heckman
+"""Property tests: the packed counting engine, read one weight at many
+levels per call, against the brute-force oracle on random small scenarios
+of every torus rank, with negative weights,
+constant coordinates and twists; the closed-form Duistermaat-Heckman
 volume against invariant counts on random regular P^2 scenarios and
-against the fitted volume on random regular P^1..P^5 scenarios.
+against the fitted volume on random regular P^1..P^5 scenarios; moment
+image queries against a point-in-hull test in Fractions; and the
+homogeneity and exponent laws on random rank-1 scenarios.
 
 Examples are derandomized; their number is bounded for run time only.
 """
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,7 +24,11 @@ from equivol import (
     dh_slice_volume,
     equivariant_volume,
     full_weight_distribution,
+    g_exponent,
+    moment_image,
+    scenario_power,
     section_dimension,
+    section_dimensions,
     su2_scenario,
 )
 from equivol.counting import conservation_sides
@@ -64,37 +73,45 @@ def _vec(mu):
     return mu if isinstance(mu, tuple) else (mu,)
 
 
-def check_engine(s, k):
-    dist = full_weight_distribution(s, k)
-    assert dist == brute_force_oracle(s, k)
-    lhs, rhs = conservation_sides(s, k, dist)
-    assert lhs == rhs
-    # every weight of the support's bounding box, one step wider
-    support = [_vec(mu) for mu in dist]
+def check_engine(s, data):
+    # one batched read per weight covers every level of ks: unsorted, with
+    # a repeat and with 0
+    ks = data.draw(st.lists(LEVELS, min_size=1, max_size=3))
+    ks = data.draw(st.permutations(ks + ks[:1] + [0]))
+    dists = {}
+    for k in set(ks):
+        dists[k] = full_weight_distribution(s, k)
+        assert dists[k] == brute_force_oracle(s, k), k
+        lhs, rhs = conservation_sides(s, k, dists[k])
+        assert lhs == rhs, k
+    # every weight of the supports' bounding box, one step wider
+    support = [_vec(mu) for dist in dists.values() for mu in dist]
     axes = [range(min(c) - 1, max(c) + 2) for c in zip(*support)]
     for vec in product(*axes):
         mu = s.weight_key(vec)
         if s.group.is_su2 and mu < 0:
             continue
-        assert section_dimension(s, k, mu) == dist.get(mu, 0) * s.dim_irrep(mu), (k, mu)
+        expect = [dists[k].get(mu, 0) * s.dim_irrep(mu) for k in ks]
+        assert section_dimensions(s, mu, ks) == expect, (ks, mu)
+        assert section_dimension(s, ks[0], mu) == expect[0], (ks, mu)
 
 
 @SETTINGS
-@given(rank1_scenarios(), LEVELS)
-def test_rank1_engine_matches_oracle(s, k):
-    check_engine(s, k)
+@given(rank1_scenarios(), st.data())
+def test_rank1_engine_matches_oracle(s, data):
+    check_engine(s, data)
 
 
 @SETTINGS
-@given(rank2_scenarios(), LEVELS)
-def test_rank2_engine_matches_oracle(s, k):
-    check_engine(s, k)
+@given(rank2_scenarios(), st.data())
+def test_rank2_engine_matches_oracle(s, data):
+    check_engine(s, data)
 
 
 @SETTINGS
-@given(su2_scenarios(), LEVELS)
-def test_su2_engine_matches_oracle(s, k):
-    check_engine(s, k)
+@given(su2_scenarios(), st.data())
+def test_su2_engine_matches_oracle(s, data):
+    check_engine(s, data)
 
 
 @st.composite
@@ -131,3 +148,129 @@ def regular_single_factor_scenarios(draw):
 @given(regular_single_factor_scenarios())
 def test_fitted_volume_equals_dh_slice_volume(s):
     assert equivariant_volume(s, 0).value == dh_slice_volume(s)
+
+
+# --- moment images ------------------------------------------------------------
+
+
+def _sub(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def in_hull(points, x) -> bool:
+    """x in the convex hull of `points`, by Caratheodory: one of the
+    points, segments between two points or nondegenerate triangles on three
+    points holds x.  Rank-1 points are read as (w, 0)."""
+    points = list(dict.fromkeys(p + (0,) * (2 - len(p)) for p in points))
+    x = x + (0,) * (2 - len(x))
+    if x in points:
+        return True
+    for p, q in combinations(points, 2):
+        d, y = _sub(q, p), _sub(x, p)
+        if _cross(d, y) == 0 and 0 <= d[0] * y[0] + d[1] * y[1] <= d[0] ** 2 + d[1] ** 2:
+            return True
+    for a, b, c in combinations(points, 3):
+        if _cross(_sub(b, a), _sub(c, a)) == 0:
+            continue
+        sides = [_cross(_sub(v, u), _sub(x, u)) for u, v in ((a, b), (b, c), (c, a))]
+        if all(t >= 0 for t in sides) or all(t <= 0 for t in sides):
+            return True
+    return False
+
+
+@st.composite
+def moment_images(draw):
+    """(image, the points it is the hull of, a weight mu) for one factor of
+    degree 1: a rank-1 interval, or a rank-2 polygon, segment or point."""
+    coord = st.integers(-3, 3)
+    shape = draw(st.sampled_from(["interval", "polygon", "segment", "point"]))
+    if shape == "interval":
+        weights = [(w,) for w in draw(st.lists(coord, min_size=2, max_size=4))]
+        twist = (draw(st.integers(-2, 2)),)
+    else:
+        base = draw(st.tuples(coord, coord))
+        if shape == "polygon":
+            weights = [base] + draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=4))
+        elif shape == "segment":
+            step = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+            ts = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3, unique=True).filter(lambda ts: ts != [0]))
+            weights = [base] + [(base[0] + t * step[0], base[1] + t * step[1]) for t in ts]
+        else:
+            weights = [base, base]
+        twist = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    s = circle_scenario([weights], [1], twist=twist if len(twist) == 2 else twist[0], g=len(twist))
+    points = [tuple(x + c for x, c in zip(w, twist)) for w in weights]
+    img = moment_image(s)
+    if shape == "polygon":
+        assume(len(img.vertices) >= 3)
+    rank = len(twist)
+    if draw(st.booleans()):  # near a multiple of a hull point, where degenerate images are hit
+        p = draw(st.sampled_from(points))
+        r = draw(st.integers(0, 4))
+        mu = tuple(r * x + draw(st.integers(-1, 1)) for x in p)
+    else:
+        mu = tuple(draw(st.integers(-8, 8)) for _ in range(rank))
+    return img, points, mu
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(moment_images())
+def test_moment_image_queries_match_fraction_hull(case):
+    img, points, mu = case
+    assert img.contains_zero() == in_hull(points, (0,) * img.rank)
+    assert img.scaled_contains(mu, 0) == (not any(mu))
+    for k in range(1, 7):
+        x = tuple(Fraction(m, k) for m in mu)
+        assert img.scaled_contains(mu, k) == in_hull(points, x), (k, mu)
+    # a bounded range ends at <a, mu> // beta for an integer facet normal a
+    # with entries at most the image's width and beta >= 1, so below the
+    # horizon
+    width = max(max(c) - min(c) for c in zip(*points))
+    horizon = 2 + 2 * max(width, 1) * max(map(abs, mu))
+    admitted = [r for r in range(1, horizon + 1) if img.scaled_contains(mu, r)]
+    r_min, r_max = img.scale_range(mu)
+    if not admitted:
+        assert (r_min, r_max) == (None, None)
+        return
+    assert admitted == list(range(admitted[0], admitted[-1] + 1))
+    assert r_min == admitted[0]
+    assert r_max == (None if admitted[-1] == horizon else admitted[-1])
+
+
+# --- homogeneity and exponent laws ----------------------------------------------
+
+
+@st.composite
+def small_rank1_scenarios(draw, max_step=1):
+    # a common weight step makes exponents above 1 frequent
+    step = draw(st.integers(1, max_step))
+    weights = st.lists(st.integers(-2, 2).map(lambda w: step * w), min_size=2, max_size=3)
+    factors = draw(st.lists(weights, min_size=1, max_size=2))
+    degrees = draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
+    return circle_scenario(factors, degrees, twist=draw(st.integers(-2, 2)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_rank1_scenarios(), st.integers(2, 5), st.integers(-2, 2))
+def test_homogeneity_law(s, p, mu):
+    # vol_mu(L^p) = p^(n-g) vol_mu(L) when gcd(p, e) = 1
+    e = g_exponent(s).exponent
+    assume(e is not None and gcd(p, e) == 1)
+    base = equivariant_volume(s, mu)
+    power = equivariant_volume(scenario_power(s, p), mu)
+    assert power.status == base.status
+    if base.finite:
+        assert power.value == Fraction(p) ** s.growth_degree * base.value
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(small_rank1_scenarios(max_step=3), st.integers(2, 4))
+def test_exponent_law(s, p):
+    # e_G(L^p) = e / gcd(p, e)
+    e = g_exponent(s).exponent
+    assume(e is not None)
+    assert g_exponent(scenario_power(s, p)).exponent == e // gcd(p, e)

@@ -218,16 +218,17 @@ def test_volume_pins(weights, degrees, twist, mu, vol):
 def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
     # every class carries one sample beyond those it is interpolated from;
     # shifting the first sample at mu = 1 by one must be caught, not absorbed
-    true_dimension = volumes.section_dimension
+    true_dimensions = volumes.section_dimensions
     shifted = []
 
-    def perturbed(s, k, mu):
-        bump = mu == 1 and not shifted
-        if bump:
-            shifted.append(k)
-        return true_dimension(s, k, mu) + bump
+    def perturbed(s, mu, ks):
+        ys = true_dimensions(s, mu, ks)
+        if mu == 1 and not shifted:
+            shifted.append(ks[0])
+            ys[0] += 1
+        return ys
 
-    monkeypatch.setattr(volumes, "section_dimension", perturbed)
+    monkeypatch.setattr(volumes, "section_dimensions", perturbed)
     with pytest.raises(RuntimeError, match="fit no polynomial"):
         equivariant_volume(p2_circle, 1)
     assert len(shifted) == 1
