@@ -129,8 +129,8 @@ def _render_image(img) -> str:
     if img.rank == 1:
         lo, hi = img.interval
         tag = "dominant interval" if img.dominant else "interval"
-        return f"{tag} [{render_rational(lo)}, {render_rational(hi)}]"
-    verts = ", ".join(f"({render_rational(x)},{render_rational(y)})" for x, y in img.vertices)
+        return f"{tag} [{lo}, {hi}]"
+    verts = ", ".join(f"({x},{y})" for x, y in img.vertices)
     return f"polygon [{verts}]"
 
 

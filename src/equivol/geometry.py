@@ -22,6 +22,11 @@ along some direction orthogonal to a coordinate-weight difference; the
 origin is a regular value iff it avoids all of them.  SU(2) factors are
 classified through the classical stability theory of binary forms,
 restricted to the supported single-factor scenarios.
+
+The generic stabilizer is read off the torus weights of both group kinds
+(``Scenario.torus_weights``; an SU(2) block Sym^m has the weights m - 2a):
+its character group is Z^r modulo the lattice the coordinate-weight
+differences span, kept as one lower-triangular basis at every torus rank.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .model import Rational, Scenario, UnsupportedScenario
@@ -53,28 +58,27 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _hull2d(points):
-    """Monotone-chain convex hull, counterclockwise; exact arithmetic."""
+def _hull(points):
+    """Vertices of the convex hull of integer points: the two ends (min,
+    max) in dimension 1, else the counterclockwise monotone chain."""
     pts = sorted(set(points))
+    if len(pts[0]) == 1:
+        return (pts[0], pts[-1])
     if len(pts) <= 2:
         return tuple(pts)
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(
-            (lower[-1][0] - lower[-2][0], lower[-1][1] - lower[-2][1]),
-            (p[0] - lower[-2][0], p[1] - lower[-2][1]),
-        ) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(
-            (upper[-1][0] - upper[-2][0], upper[-1][1] - upper[-2][1]),
-            (p[0] - upper[-2][0], p[1] - upper[-2][1]),
-        ) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+
+    def chain(seq):  # one half of the hull, turning left at every vertex
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(
+                (out[-1][0] - out[-2][0], out[-1][1] - out[-2][1]),
+                (p[0] - out[-2][0], p[1] - out[-2][1]),
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
     if len(hull) < 3:  # all points collinear
         return (pts[0], pts[-1])
     return tuple(hull)
@@ -84,9 +88,10 @@ def _hull2d(points):
 class MomentImage:
     """Moment map image of the bundle itself (tensor power k scales by k).
 
-    rank 1 (circle g=1, and the su2 dominant picture) stores an interval;
-    rank 2 stores a hull vertex list in counterclockwise order (1 or 2
-    vertices when degenerate).
+    Vertices are integer tuples.  Rank 1 (circle g=1, and the su2 dominant
+    picture) stores the two ends of an interval; rank 2 stores a hull
+    vertex list in counterclockwise order (1 or 2 vertices when
+    degenerate).
 
     Queries run on integer half-planes computed once per image: a pair
     (beta, a) means beta*r <= <a, mu>, so mu lies in r * image exactly when
@@ -98,26 +103,25 @@ class MomentImage:
     dominant: bool = False
 
     @property
-    def interval(self) -> tuple[Rational, Rational]:
+    def interval(self) -> tuple[int, int]:
         if self.rank != 1:
             raise ValueError("interval only defined for rank-1 images")
-        vals = [v[0] for v in self.vertices]
-        return (min(vals), max(vals))
+        (lo,), (hi,) = self.vertices
+        return (lo, hi)
 
     @cached_property
     def _half_planes(self) -> tuple[tuple, tuple]:
         """(inequalities, equalities), each a tuple of integer pairs
         (beta, a) read as beta*r <= <a, mu> or beta*r == <a, mu>.
 
-        An interval [lo, hi] gives lo*r <= mu and -hi*r <= -mu (times the
-        denominators); a polygon one inequality per counterclockwise edge
-        e from v, cross(e, v)*r <= cross(e, mu); a segment pq the line
-        through it as an equality and its two ends; a point one equality
-        per coordinate.
+        An interval [lo, hi] gives lo*r <= mu and -hi*r <= -mu; a polygon
+        one inequality per counterclockwise edge e from v,
+        cross(e, v)*r <= cross(e, mu); a segment pq the line through it as
+        an equality and its two ends; a point one equality per coordinate.
         """
         if self.rank == 1:
             lo, hi = self.interval
-            return ((lo.numerator, (lo.denominator,)), (-hi.numerator, (-hi.denominator,))), ()
+            return ((lo, (1,)), (-hi, (-1,))), ()
         vs = self.vertices
         if len(vs) == 1:
             ((x, y),) = vs
@@ -185,31 +189,28 @@ def supported(s: Scenario) -> bool:
     return s.group.dim <= 2
 
 
+def _require_supported(s: Scenario, what: str) -> None:
+    if not supported(s):
+        raise UnsupportedScenario(
+            "su2 geometry supports single-factor scenarios"
+            if s.group.is_su2
+            else f"{what} implemented for circle rank <= 2, got g={s.group.dim}"
+        )
+
+
 def moment_image(s: Scenario) -> MomentImage:
     """Weight hull of the bundle: Minkowski sum of d_j-scaled factor hulls
     plus the twist.  For su2 this is the dominant interval."""
+    _require_supported(s, "moment images")
     if s.group.is_su2:
-        if len(s.factors) != 1:
-            raise UnsupportedScenario("su2 geometry supports single-factor scenarios")
         sym = s.factors[0].sym_powers
         d = s.bundle.degrees[0]
-        hi = d * max(sym)
         lo = d if sym == (1,) else 0
-        return MomentImage(rank=1, vertices=((Fraction(lo),), (Fraction(hi),)), dominant=True)
-    g = s.group.dim
-    if g == 1:
-        lo = sum(d * min(w[0] for w in f.weights) for f, d in zip(s.factors, s.bundle.degrees))
-        hi = sum(d * max(w[0] for w in f.weights) for f, d in zip(s.factors, s.bundle.degrees))
-        c = s.bundle.twist[0]
-        return MomentImage(rank=1, vertices=((Fraction(lo + c),), (Fraction(hi + c),)))
-    if g == 2:
-        c = s.bundle.twist
-        sums = [c]
-        for f, d in zip(s.factors, s.bundle.degrees):
-            verts = _hull2d([(d * w[0], d * w[1]) for w in f.weights])
-            sums = [(x[0] + v[0], x[1] + v[1]) for x in sums for v in verts]
-        return MomentImage(rank=2, vertices=_hull2d(sums))
-    raise UnsupportedScenario(f"moment images implemented for circle rank <= 2, got g={g}")
+        return MomentImage(rank=1, vertices=((lo,), (d * max(sym),)), dominant=True)
+    image = (s.bundle.twist,)
+    for ws, d in zip(s.torus_weights, s.bundle.degrees):
+        image = _hull([tuple(x + d * y for x, y in zip(p, w)) for p in image for w in _hull(ws)])
+    return MomentImage(rank=s.group.dim, vertices=image)
 
 
 def fixed_point_images(s: Scenario) -> set:
@@ -316,38 +317,38 @@ def classify_stability(s: Scenario) -> StabilityReport:
 class StabilizerData:
     """Generic stabilizer of the action, as far as the torus data sees it.
 
-    For circle powers this is the full generic stabilizer (kernel of all
-    coordinate-weight differences).  For su2 it is the central part,
-    {+-1} when every factor's blocks share a parity; the supported
-    scenarios have central generic stabilizers so the two coincide.
+    Its character group is Z^r modulo the lattice spanned by the
+    coordinate-weight differences of the torus weights.  ``lattice`` is a
+    lower-triangular basis of that lattice: column i is zero above
+    coordinate i and positive at it, so ``order`` is the product of the
+    diagonal and every coset has one residue in the box
+    0 <= x_i < lattice[i][i].  For circle powers this is the full generic
+    stabilizer (kernel of all coordinate-weight differences).  For su2 it
+    is the part in the maximal torus, {+-1} or trivial; a generic
+    stabilizer outside the torus, as for binary cubics, is not seen.
     """
 
     finite: bool
     order: int | None
     invariant_factors: tuple[int, ...] = ()
-    # Hermite data (a, b, c) of the rank-2 difference lattice, columns
-    # (a, b) and (0, c); None for rank 1 / su2.
-    hermite: tuple[int, int, int] | None = None
+    lattice: tuple[tuple[int, ...], ...] = ()
 
     def residue(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """The representative of vec modulo the lattice in the box."""
         if not self.finite:
             raise UnsupportedScenario("residues undefined for infinite stabilizers")
-        if self.hermite is None:
-            d = self.order
-            return (vec[0] % d,) if d > 1 else (0,)
-        a, b, c = self.hermite
-        sdiv, rx = divmod(vec[0], a)
-        ry = (vec[1] - b * sdiv) % c
-        return (rx, ry)
+        for i, col in enumerate(self.lattice):
+            q = vec[i] // col[i]
+            vec = tuple(x - q * y for x, y in zip(vec, col))
+        return vec
 
     def contains(self, vec: tuple[int, ...]) -> bool:
         """Membership of an integer vector in the difference lattice."""
-        return self.residue(vec) == self.residue((0,) * len(vec))
+        return not any(self.residue(vec))
 
 
 def _difference_vectors(s: Scenario):
-    for f in s.factors:
-        ws = f.weights
+    for ws in s.torus_weights:
         for a, b in itertools.combinations(ws, 2):
             d = tuple(x - y for x, y in zip(a, b))
             if any(d):
@@ -355,73 +356,41 @@ def _difference_vectors(s: Scenario):
 
 
 def generic_stabilizer(s: Scenario) -> StabilizerData:
-    if s.group.is_su2:
-        if len(s.factors) != 1:
-            raise UnsupportedScenario("su2 geometry supports single-factor scenarios")
-        parities = {m % 2 for m in s.factors[0].sym_powers}
-        if len(parities) == 1:
-            return StabilizerData(finite=True, order=2, invariant_factors=(2,))
-        return StabilizerData(finite=True, order=1, invariant_factors=(1,))
-    g = s.group.dim
-    diffs = list(_difference_vectors(s))
-    if g == 1:
-        d = 0
-        for v in diffs:
-            d = gcd(d, v[0])
-        if d == 0:
-            return StabilizerData(finite=False, order=None)
-        return StabilizerData(finite=True, order=d, invariant_factors=(d,) if d > 1 else (1,))
-    if g == 2:
-        herm = _hermite_2(diffs)
-        if herm is None:
-            return StabilizerData(finite=False, order=None)
-        a, b, c = herm
-        order = a * c
-        f1 = 0
-        for v in diffs:
-            f1 = gcd(f1, gcd(v[0], v[1]))
-        f2 = order // f1
-        return StabilizerData(
-            finite=True, order=order, invariant_factors=(f1, f2), hermite=herm
-        )
-    raise UnsupportedScenario(f"stabilizers implemented for circle rank <= 2, got g={g}")
+    _require_supported(s, "stabilizers")
+    lattice = _hermite(_difference_vectors(s), s.group.torus_rank)
+    if lattice is None:
+        return StabilizerData(finite=False, order=None)
+    order = prod(col[i] for i, col in enumerate(lattice))
+    # Smith invariants at rank <= 2: the gcd of all entries, then the rest
+    content = gcd(*itertools.chain.from_iterable(lattice))
+    return StabilizerData(True, order, (content, order // content)[: len(lattice)], lattice)
 
 
-def _hermite_2(cols) -> tuple[int, int, int] | None:
-    """Column Hermite form [[a,0],[b,c]] of the lattice spanned by `cols`;
-    None when the lattice has rank < 2."""
-    cols = [tuple(c) for c in cols if any(c)]
-    if not cols:
-        return None
-    # reduce to a single column with nonzero x plus columns with x = 0
-    work = list(cols)
-    lead = None
-    rest = []
-    for v in work:
-        if v[0] == 0:
-            rest.append(v[1])
-            continue
-        if lead is None:
-            lead = v
-            continue
-        a, b = lead, v
-        while b[0]:
-            q = a[0] // b[0]
-            a, b = b, (a[0] - q * b[0], a[1] - q * b[1])
-        lead = a
-        if b[1]:
-            rest.append(b[1])
-    if lead is None:
-        return None
-    if lead[0] < 0:
-        lead = (-lead[0], -lead[1])
-    c = 0
-    for y in rest:
-        c = gcd(c, y)
-    if c == 0:
-        return None
-    a, b = lead[0], lead[1] % c
-    return (a, b, c)
+def _hermite(vectors, rank: int) -> tuple[tuple[int, ...], ...] | None:
+    """Lower-triangular column basis of the lattice spanned by integer
+    `vectors` of length `rank`, with a positive diagonal (entries below it
+    are not reduced); None when the lattice has rank < `rank`.
+
+    Row i runs Euclid's algorithm on coordinate i over the columns left
+    by the rows before it, which all vanish above i."""
+    basis = []
+    rest = [v for v in vectors if any(v)]
+    for i in range(rank):
+        pivot, left = None, []
+        for v in rest:
+            if v[i] and pivot is None:
+                pivot = v
+                continue
+            while v[i]:
+                q = pivot[i] // v[i]
+                pivot, v = v, tuple(x - q * y for x, y in zip(pivot, v))
+            if any(v):
+                left.append(v)
+        if pivot is None:
+            return None
+        basis.append(pivot if pivot[i] > 0 else tuple(-x for x in pivot))
+        rest = left
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
@@ -447,24 +416,13 @@ class CompatibilityCertificate:
 def bundle_fiber_character(s: Scenario, stab: StabilizerData) -> tuple[int, ...]:
     """Residue of the character by which K acts on the fiber of L at a
     general point: sum_j d_j * w_{j,0} + c restricted to K."""
-    if s.group.is_su2:
-        sigma = sum(d * f.sym_powers[0] for f, d in zip(s.factors, s.bundle.degrees))
-        return stab.residue((sigma,))
-    g = s.group.dim
-    base = [0] * g
-    for f, d in zip(s.factors, s.bundle.degrees):
-        for i in range(g):
-            base[i] += d * f.weights[0][i]
-    for i in range(g):
-        base[i] += s.bundle.twist[i]
-    res = stab.residue(tuple(base))
-    # well-definedness: every coordinate choice must give the same residue
-    for f, d in zip(s.factors, s.bundle.degrees):
-        for w in f.weights:
-            delta = tuple(d * (w[i] - f.weights[0][i]) for i in range(g))
-            if not stab.contains(delta):
-                raise RuntimeError("fiber character depends on the reference coordinate")
-    return res
+    base = s.bundle.twist or (0,) * s.group.torus_rank
+    for ws, d in zip(s.torus_weights, s.bundle.degrees):
+        # well-definedness: every coordinate choice must give the same residue
+        if not all(stab.contains(tuple(d * (x - y) for x, y in zip(w, ws[0]))) for w in ws):
+            raise RuntimeError("fiber character depends on the reference coordinate")
+        base = tuple(b + d * x for b, x in zip(base, ws[0]))
+    return stab.residue(base)
 
 
 def numerically_compatible(s: Scenario, mu) -> CompatibilityCertificate:

@@ -47,22 +47,6 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class ContinuityFit:
-    """Fitted Lipschitz data for vol_0 on a bundle-family grid.
-
-    The bound checked is |vol_0(D) - vol_0(D')| <=
-    C * max(norm(D), norm(D'))^exponent * norm(D - D') with the
-    max-coordinate norm on the (degree, twist) lattice.
-    """
-
-    family: str
-    norm: str
-    constant: Fraction
-    exponent: int
-    grid_points: int
-
-
 @dataclass
 class SuiteReport:
     suite: str
@@ -421,15 +405,8 @@ def suite_continuity(corpus) -> SuiteReport:
             ratio = abs(values[a] - values[b]) / dist
             if ratio > c_min:
                 c_min, worst = ratio, (a, b)
-    fit = ContinuityFit(
-        family="p2 weights (-1,1,1), d in [1,6], c in [-3,3], regular classes",
-        norm="max_coordinate",
-        constant=c_min,
-        exponent=0,  # n - g - 1 on this family
-        grid_points=len(values),
-    )
     bound_holds = all(
-        abs(values[a] - values[b]) <= fit.constant * max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+        abs(values[a] - values[b]) <= c_min * max(abs(a[0] - b[0]), abs(a[1] - b[1]))
         for a in keys
         for b in keys
         if a < b
@@ -438,10 +415,10 @@ def suite_continuity(corpus) -> SuiteReport:
         CheckRecord(
             "p2_family",
             "finite C with |vol_0(D) - vol_0(D')| <= C max-norm(D - D') over all grid pairs",
-            f"C = {render_rational(fit.constant)}",
+            f"C = {render_rational(c_min)}",
             "finite",
             bound_holds,
-            {"grid_points": fit.grid_points, "attained_at": worst, "norm": fit.norm},
+            {"grid_points": len(values), "attained_at": worst, "norm": "max_coordinate"},
         )
     )
     return SuiteReport("continuity", ["p2_family"], records)

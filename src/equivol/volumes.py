@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial, gcd, lcm
 
@@ -108,7 +107,6 @@ def mu_semigroup(s: Scenario, mu, m_max: int) -> frozenset[int]:
     return frozenset(m for m, h in zip(ms, section_dimensions(s, mu, ms)) if h > 0)
 
 
-@lru_cache(maxsize=None)
 def g_exponent(s: Scenario, m_max: int = M_MAX) -> ExponentResult:
     sg = g_semigroup(s, m_max)
     if not sg:

@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_one_error_line(code, out, err, cause):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert cause in lines[0]
+
+
 P2 = str(scenario_path("p2_circle"))
 P1 = str(scenario_path("p1_hyperplane"))
 SU2 = str(scenario_path("su2_p3"))
@@ -80,6 +87,31 @@ def test_classify_regular(capsys):
     assert "interval [-1, 1]" in out
 
 
+def test_classify_polygon(capsys):
+    code, out, _ = run(capsys, "classify", "--scenario", str(scenario_path("p1p1_diag")))
+    assert code == 0
+    assert out.splitlines() == [
+        "stability: regular",
+        "zero_position: inside",
+        "moment_image: polygon [(-1,-1), (1,-1), (1,1), (-1,1)]",
+        "generic_stabilizer_order: 4",
+        "invariant_factors: 2,2",
+    ]
+
+
+def test_classify_trivial_su2_stabilizer_is_infinite(tmp_path, capsys):
+    doc = tmp_path / "trivial_su2.json"
+    doc.write_text(json.dumps({**SU2_BASE, "factors": [{"dim": 1, "sym_powers": [0, 0]}]}))
+    code, out, _ = run(capsys, "classify", "--scenario", str(doc))
+    assert code == 0
+    assert out.splitlines() == [
+        "stability: trivial_action",
+        "zero_position: on_vertex_or_wall",
+        "moment_image: dominant interval [0, 0]",
+        "generic_stabilizer_order: infinite",
+    ]
+
+
 def test_classify_unstable_emits_bounds(capsys):
     code, out, _ = run(capsys, "classify", "--scenario", UNSTABLE, "--mu-range", "4..6")
     assert code == 0
@@ -102,6 +134,20 @@ def test_verify_single_suite(capsys):
     assert "suite exponent_law:" in out
 
 
+def test_verify_extra_scenario_json(tmp_path, capsys):
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(BASE))
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--scenario", str(extra), "--format", "json")
+    assert code == 0
+    summary, payload = out.split("\n", 1)
+    assert summary.startswith("suite oracle: ")
+    (report,) = json.loads(payload)
+    assert report["suite"] == "oracle" and report["passed"]
+    assert report["scenarios"][-1] == str(extra)
+    assert report["checks_passed"] == report["checks_total"] == len(report["records"])
+    assert any(r["scenario"] == str(extra) for r in report["records"])
+
+
 def test_table_export_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -122,19 +168,32 @@ def test_json_format(capsys):
 def test_missing_field_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"group": "circle_power", "g": 1, "factors": [{"dim": 1, "weights": [1, -1]}], "bundle": {}}')
-    code, _, err = run(capsys, "volume", "--scenario", str(bad), "--mu", "0")
-    assert code == 2
-    assert "degrees" in err
+    assert_one_error_line(*run(capsys, "volume", "--scenario", str(bad), "--mu", "0"), "`degrees`")
 
 
 def test_unreadable_scenario_is_input_error(capsys):
-    code, _, err = run(capsys, "classify", "--scenario", "/nonexistent.json")
-    assert code == 2
+    assert_one_error_line(*run(capsys, "classify", "--scenario", "/nonexistent.json"), "cannot read scenario")
 
 
 def test_mu_required(capsys):
-    code, _, err = run(capsys, "volume", "--scenario", P2)
-    assert code == 2
+    assert_one_error_line(*run(capsys, "volume", "--scenario", P2), "volume needs --mu or --mu-range")
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["classify", "--scenario", "NOT_JSON"], "is not valid JSON: line 1"),
+        (["multiplicity", "--scenario", P2, "--k", "1", "--mu", "1,x"], "cannot parse weight '1,x'"),
+        (["volume", "--scenario", P1, "--mu-range", "3..1"], "empty range '3..1'"),
+        (["volume", "--scenario", P1, "--mu-range", "1-3"], "cannot parse range '1-3'"),
+        (["multiplicity", "--scenario", P2, "--k", "1"], "multiplicity needs --mu or --all-mu"),
+    ],
+)
+def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
+    not_json = tmp_path / "not.json"
+    not_json.write_text('{"group": "circle_power", "g": 1,')
+    argv = [str(not_json) if a == "NOT_JSON" else a for a in argv]
+    assert_one_error_line(*run(capsys, *argv), cause)
 
 
 def test_empty_table_header_only(tmp_path, capsys):
@@ -169,9 +228,7 @@ def test_engine_limit_is_input_error(tmp_path, capsys):
     doc = tmp_path / "sparse.json"
     doc.write_text(json.dumps(SPARSE_RANK2))
     code, out, err = run(capsys, "multiplicity", "--scenario", str(doc), "--k", "50", "--mu", "0,0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "budget 60000000" in err
-    assert "Traceback" not in err
+    assert_one_error_line(code, out, err, "budget 60000000")
 
 
 # documents that each give one field a value of the wrong JSON type
@@ -207,11 +264,7 @@ def _with(base, path, value):
 def test_mistyped_field_is_input_error(tmp_path, capsys, doc, field):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "classify", "--scenario", str(path))
-    assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert f"`{field}`" in lines[0]
+    assert_one_error_line(*run(capsys, "classify", "--scenario", str(path)), f"`{field}`")
 
 
 def _documented_commands():

@@ -155,6 +155,12 @@ def test_classify_rank2_critical_segment():
     # factor-1 pair ((1,1),(-1,1)) is constant along xi=(0,1); combined
     # with a factor-2 singleton the segment hits 0
     assert classify_stability(walled).stability == "boundary"
+    # on P^3 the pair ((1,0),(-1,0)) spans a critical segment through 0,
+    # though 0 is interior and no fixed point maps there; split over
+    # P^1 x P^1 the same weights leave 0 regular
+    axes = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    assert classify_stability(circle_scenario([axes], [1])).stability == "boundary"
+    assert classify_stability(circle_scenario([axes[:2], axes[2:]], [1, 1])).stability == "regular"
 
 
 def test_classify_su2(su2_p3):
@@ -201,6 +207,8 @@ def test_stabilizer_su2(su2_p3):
     assert generic_stabilizer(su2_p3).order == 2
     assert generic_stabilizer(su2_scenario([[2, 0]], [1])).order == 2
     assert generic_stabilizer(su2_scenario([[2, 1]], [1])).order == 1
+    # every block Sym^0: the torus acts trivially and pins no element
+    assert not generic_stabilizer(su2_scenario([[0, 0]], [1])).finite
 
 
 # --- numerical compatibility ------------------------------------------------
@@ -238,6 +246,15 @@ def test_compatibility_rank2(p1p1_diag):
         for m2 in range(-3, 4):
             cert = numerically_compatible(p1p1_diag, (m1, m2))
             assert cert.compatible == ((m1 - m2) % 2 == 0), (m1, m2)
+
+
+def test_compatibility_twisted_matches_counted_volumes():
+    # the twist moves the fiber character: chi = -3 + 1 is even, so the
+    # even weights are compatible, and exactly they have positive volume
+    s = circle_scenario([[-3, 1, 3]], [1], twist=1)
+    for mu in range(-3, 4):
+        cert = numerically_compatible(s, mu)
+        assert cert.compatible == (mu % 2 == 0) == (equivariant_volume(s, mu).value > 0), mu
 
 
 def test_compatibility_infinite_stabilizer_rejected():

@@ -207,8 +207,8 @@ def _is_cache(node) -> bool:
 
 def test_no_new_module_level_caches():
     # per-scenario state belongs on objects: a module-level cache grows
-    # without bound, and only these two are left to move into an engine
-    allowed = {"counting._packed", "volumes.g_exponent"}
+    # without bound, and only this one is left to move into an engine
+    allowed = {"counting._packed"}
     found = set()
     for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:

@@ -4,8 +4,10 @@ of every torus rank, with negative weights,
 constant coordinates and twists; the closed-form Duistermaat-Heckman
 volume against invariant counts on random regular P^2 scenarios and
 against the fitted volume on random regular P^1..P^5 scenarios; moment
-image queries against a point-in-hull test in Fractions; and the
-homogeneity and exponent laws on random rank-1 scenarios.
+image queries against a point-in-hull test in Fractions; generic
+stabilizers against the gcd of the maximal minors of the weight
+differences; and the homogeneity and exponent laws on random rank-1
+scenarios.
 
 Examples are derandomized; their number is bounded for run time only.
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equivol import (
@@ -25,6 +27,7 @@ from equivol import (
     equivariant_volume,
     full_weight_distribution,
     g_exponent,
+    generic_stabilizer,
     moment_image,
     scenario_power,
     section_dimension,
@@ -239,6 +242,47 @@ def test_moment_image_queries_match_fraction_hull(case):
     assert admitted == list(range(admitted[0], admitted[-1] + 1))
     assert r_min == admitted[0]
     assert r_max == (None if admitted[-1] == horizon else admitted[-1])
+
+
+# --- generic stabilizers ------------------------------------------------------
+
+
+def _difference_vectors(s):
+    return [
+        tuple(x - y for x, y in zip(a, b))
+        for ws in s.torus_weights
+        for a, b in combinations(ws, 2)
+    ]
+
+
+@SETTINGS
+@example(su2_scenario([[0, 0]], [1]))  # every block Sym^0: the action is trivial
+@given(
+    st.one_of(
+        rank1_scenarios(),
+        rank2_scenarios(),
+        su2_scenarios().filter(lambda s: len(s.factors) == 1),
+    )
+)
+def test_generic_stabilizer_matches_maximal_minors(s):
+    # |K| is the index of the difference lattice: the gcd of the maximal
+    # minors of the difference vectors, 0 when they do not span
+    diffs = _difference_vectors(s)
+    rank = s.group.torus_rank
+    minors = [d[0] for d in diffs] if rank == 1 else [_cross(a, b) for a, b in combinations(diffs, 2)]
+    order = gcd(*minors)
+    stab = generic_stabilizer(s)
+    assert (stab.finite, stab.order) == (order > 0, order or None)
+    if not order:
+        return
+    content = gcd(*(x for d in diffs for x in d))
+    assert stab.invariant_factors == ((order,) if rank == 1 else (content, order // content))
+    assert all(stab.contains(d) for d in diffs)
+    # order * Z^r lies in the lattice, so a box of side `order` meets every
+    # coset; residue picks one representative of each
+    residues = {stab.residue(v) for v in product(range(order), repeat=rank)}
+    assert len(residues) == order
+    assert all(stab.residue(r) == r for r in residues)
 
 
 # --- homogeneity and exponent laws ----------------------------------------------
