@@ -14,18 +14,28 @@ Two independent routes are implemented:
 The packed representation.  At level k, factor j contributes the
 complete homogeneous polynomial h_{k d_j} in its coordinates' weight
 monomials x^{w_i}.  Each monomial x^w becomes the integer 2^(b * slot(w)):
-weights are first shifted to be nonnegative in every coordinate, then
-laid out in mixed radix over the *product's* per-coordinate span (the
-last coordinate varies fastest), and every slot is b = 8 * nbytes bits,
-enough to hold the total dimension, so no coefficient ever carries into
-its neighbour.  The factor recurrence h_m += x_i * h_(m-1) is then a
-shift-add on ints (run in the box of the factor's own weights, then placed
-into the product's layout), the product over factors is one big-int
-multiply, and the same code serves every torus rank.  The product is
-cached as bytes (:class:`_Packed`), keyed by the factors' torus weights and
-levels; the twist never enters the cache key but is applied as an offset
-when a slot is read.  :func:`section_dimensions` reads one weight at many
-levels in one call.
+weights are first shifted to be nonnegative in every coordinate and
+divided by that coordinate's common step (the gcd over all factors of
+w_i - min w_i; SU(2) weights move in steps of 2), then laid out in mixed
+radix over the *product's* per-coordinate span (the last coordinate
+varies fastest), and every slot is b = 8 * nbytes bits, enough to hold the
+total dimension, so no coefficient ever carries into its neighbour.  A
+weight off its coordinate's step counts 0.  The factor recurrence
+h_m += x_i * h_(m-1) is then a shift-add on ints (run in the box of the
+factor's own weights, then placed into the product's layout), the product
+over factors is one big-int multiply, and the same code serves every
+torus rank.
+
+The ladder.  One recurrence up to degree M yields every row h_0..h_M, so
+:func:`isotypic_table` runs each factor's recurrence once, up to
+k_max * d_j, and reads level k from row k * d_j, with slots sized by the
+total dimension at k_max; the table caches nothing.  Point reads go
+through one level at a time: its product is cached as bytes
+(:class:`_Packed`), keyed by the scenario's weight layout (its torus
+weights reduced by their steps) and levels, and takes the last row of the
+same recurrence.  The twist never enters the cache key but is applied as
+an offset when a slot is read.  :func:`section_dimensions` reads one
+weight at many levels in one call.
 
 The two routes must agree everywhere the oracle runs; the verification
 suites check this.
@@ -42,11 +52,12 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product, repeat
 from math import comb, gcd, prod
+from operator import mul, sub
 from typing import NamedTuple
 
-from .model import Scenario, ScenarioError
+from .model import Scenario, ScenarioError, WeightLayout
 
 # Cap on packed DP cells (degree x packed slots x coordinates, per factor)
 # and on the packed slots of the product; raise for deliberately huge runs.
@@ -70,11 +81,13 @@ def total_dimension(s: Scenario, k: int) -> int:
 
 class _Packed(NamedTuple):
     """Torus weight counts of one product of factors at fixed levels, twist
-    excluded: the count of weight w sits in slot sum_i (w_i - lo_i) *
-    prod(spans[i+1:]) of ``raw``, as an ``nbytes``-byte int in native byte
-    order."""
+    excluded: weight w counts 0 unless every w_i - lo_i is a multiple of
+    steps_i, and otherwise its count sits in slot sum_i (w_i - lo_i) /
+    steps_i * prod(spans[i+1:]) of ``raw``, as an ``nbytes``-byte int in
+    native byte order."""
 
     lo: tuple[int, ...]
+    steps: tuple[int, ...]
     spans: tuple[int, ...]
     nbytes: int
     raw: bytes
@@ -82,74 +95,132 @@ class _Packed(NamedTuple):
 
 _ORDER = sys.byteorder
 _SLOT_FORMATS = {struct.calcsize(c): c for c in "BHIQ"}
+# the narrowest machine format that holds a slot of 1..8 bytes
+_SLOT_WIDTHS = {nb: min(w for w in _SLOT_FORMATS if w >= nb) for nb in range(1, 9)}
 
 
-def _complete_homogeneous(shifts: list[int], m: int) -> int:
-    """h_m(2^shift_1, ..., 2^shift_n): the packed sum over the degree-m
-    monomials in coordinates whose weight monomials sit at those bit shifts."""
+def _factor_rows(ws: tuple, reach: tuple, m: int, nbytes: int, cell_budget: int) -> list[int]:
+    """Rows h_0..h_m of the complete homogeneous polynomials in the weight
+    monomials of one factor, whose reduced weights `ws` lie in 0..reach_i.
+    Every row is packed in the box of the degree-m weights, sides
+    1 + m * reach_i; row j fills its corner box of sides 1 + j * reach_i."""
+    box = [1 + m * r for r in reach]
+    cells = (m + 1) * len(ws) * prod(box)  # every row is kept
+    if cells > cell_budget:
+        raise EngineLimit(f"weight DP needs {cells} cells > budget {cell_budget}")
+    bits = [8 * nbytes * prod(box[i + 1 :]) for i in range(len(box))]
     rows = [1] + [0] * m
-    for sh in shifts:
+    for w in ws:
+        sh = sum(map(mul, w, bits))
         for deg in range(1, m + 1):
             rows[deg] += rows[deg - 1] << sh
-    return rows[m]
+    return rows
 
 
-def _place(h: int, box: list[int], strides: list[int], nbytes: int) -> int:
-    """Move packed `h` from the layout of its own box into the layout with
-    the given strides, one run along the last coordinate at a time."""
+def _place(h: int, src: list[int], box: list[int], strides: list[int], nbytes: int) -> int:
+    """Move the corner `box` of packed `h`, laid out in the box `src`, into
+    the layout with the given strides, one run along the last coordinate at
+    a time."""
     if len(box) == 1:
         return h
+    src_strides = [prod(src[i + 1 :]) for i in range(len(src))]
     run = box[-1] * nbytes
-    src = h.to_bytes(prod(box) * nbytes, _ORDER)
+    data = h.to_bytes((1 + sum((n - 1) * st for n, st in zip(box, src_strides))) * nbytes, _ORDER)
     out = bytearray((1 + sum((n - 1) * st for n, st in zip(box, strides))) * nbytes)
-    for j, lead in enumerate(product(*map(range, box[:-1]))):
+    for lead in product(*map(range, box[:-1])):
         at = nbytes * sum(x * st for x, st in zip(lead, strides))
-        out[at : at + run] = src[j * run : (j + 1) * run]
+        fr = nbytes * sum(x * st for x, st in zip(lead, src_strides))
+        out[at : at + run] = data[fr : fr + run]
     return int.from_bytes(out, _ORDER)
 
 
-@lru_cache(maxsize=None)
-def _packed(wss: tuple, levels: tuple[int, ...], cell_budget: int) -> _Packed:
-    """Weight counts of the degree-`levels` monomials of the product of
-    factors with torus weights `wss` (one tuple of weight vectors per
-    factor), as one packed record.
+def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]], cell_budget: int):
+    """Weight counts of the product of factors with weights `layout`, one
+    packed record per tuple of levels in `ladder`, whose last tuple bounds
+    every other.
 
-    Each factor's DP runs in the box of its own weights, so a factor that
-    moves in one coordinate only stays as small as at rank 1; it is then
-    placed into the product's layout for the multiply.  Keyed by torus
-    weights, so scenarios that share them (an SU(2) block and the circle
-    action with its weights) share every level.
+    Each factor's recurrence runs once, up to its last level, in the box of
+    its own reduced weights, so a factor that moves in one coordinate only
+    stays as small as at rank 1.  Each tuple of levels then places its
+    factors' rows into its own product layout and multiplies them; slots
+    are sized by the total dimension at the last levels, so every product
+    fits.
     """
-    axes = range(len(wss[0][0]))
-    mins = [[min(w[i] for w in ws) for i in axes] for ws in wss]
-    boxes = [
-        [1 + m * (max(w[i] for w in ws) - a[i]) for i in axes] for ws, m, a in zip(wss, levels, mins)
-    ]
-    lo = tuple(sum(m * a[i] for m, a in zip(levels, mins)) for i in axes)
-    spans = tuple(1 + sum(box[i] - 1 for box in boxes) for i in axes)
-    nslots = prod(spans)
+    mins, steps, reduced, reach = layout
+    top = ladder[-1]
+    axes = range(len(steps))
+    nslots = prod(1 + sum(m * r[i] for m, r in zip(top, reach)) for i in axes)
     if nslots > cell_budget:
         raise EngineLimit(f"packed weight counts need {nslots} slots > budget {cell_budget}")
-    total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(wss, levels))
+    total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(reduced, top))
     nbytes = max(1, (total.bit_length() + 7) // 8)
-    strides = [prod(spans[i + 1 :]) for i in axes]
-    packed = 1
-    for ws, m, a, box in zip(wss, levels, mins, boxes):
-        cells = (m + 1) * len(ws) * prod(box)
-        if cells > cell_budget:
-            raise EngineLimit(f"weight DP needs {cells} cells > budget {cell_budget}")
-        box_strides = [prod(box[i + 1 :]) for i in axes]
-        shifts = [8 * nbytes * sum((w[i] - a[i]) * box_strides[i] for i in axes) for w in ws]
-        packed *= _place(_complete_homogeneous(shifts, m), box, strides, nbytes)
-    return _Packed(lo, spans, nbytes, packed.to_bytes(nslots * nbytes, _ORDER))
+    rows = [_factor_rows(ws, r, m, nbytes, cell_budget) for ws, r, m in zip(reduced, reach, top)]
+    srcs = [[1 + m * x for x in r] for r, m in zip(reach, top)]
+    for levels in ladder:
+        boxes = [[1 + m * x for x in r] for r, m in zip(reach, levels)]
+        spans = tuple(1 + sum(box[i] - 1 for box in boxes) for i in axes)
+        strides = [prod(spans[i + 1 :]) for i in axes]
+        packed = 1
+        for rs, src, box, m in zip(rows, srcs, boxes, levels):
+            packed *= _place(rs[m], src, box, strides, nbytes)
+        lo = tuple(sum(m * a[i] for m, a in zip(levels, mins)) for i in axes)
+        yield _Packed(lo, steps, spans, nbytes, packed.to_bytes(prod(spans) * nbytes, _ORDER))
+
+
+@lru_cache(maxsize=None)
+def _packed(layout: WeightLayout, levels: tuple[int, ...], cell_budget: int) -> _Packed:
+    """The weight counts of :func:`_ladder` at one tuple of levels, cached.
+
+    The layout is a function of the torus weights alone, so scenarios that
+    share them (an SU(2) block and the circle action with its weights)
+    share every level.
+    """
+    return next(_ladder(layout, [levels], cell_budget))
+
+
+def _level(s: Scenario, k: int, cell_budget: int) -> _Packed:
+    """The cached weight counts of H^0(M, L^k), twist excluded."""
+    return _packed(s.weight_layout, tuple([k * d for d in s.bundle.degrees]), cell_budget)
 
 
 def _slots(p: _Packed) -> tuple[int, ...]:
-    fmt = _SLOT_FORMATS.get(p.nbytes)
-    if fmt:
-        return tuple(memoryview(p.raw).cast(fmt))
-    nb = p.nbytes
-    return tuple(int.from_bytes(p.raw[i : i + nb], _ORDER) for i in range(0, len(p.raw), nb))
+    nb, raw = p.nbytes, p.raw
+    width = _SLOT_WIDTHS.get(nb)
+    if width is None:
+        return tuple(int.from_bytes(raw[i : i + nb], _ORDER) for i in range(0, len(raw), nb))
+    if width > nb:  # widen every slot to a machine format, one byte lane at a time
+        wide = bytearray(len(raw) // nb * width)
+        pad = width - nb if _ORDER == "big" else 0
+        for j in range(nb):
+            wide[pad + j :: width] = raw[j::nb]
+        raw = wide
+    return tuple(memoryview(raw).cast(_SLOT_FORMATS[width]))
+
+
+def _twist(s: Scenario) -> tuple[int, ...]:
+    """The bundle's character; weights of level k are read at an offset of
+    k * twist."""
+    return s.bundle.twist or (0,) * s.group.torus_rank
+
+
+def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
+    """The weights mu with N(mu) > 0 in the level-k counts `p` of a bundle
+    with character `twist`, in weight order (a rank-1 mu is an int), and
+    their multiplicities N(mu)."""
+    counts = _slots(p)
+    axes = [range(a + k * c, a + k * c + g * n, g) for a, c, g, n in zip(p.lo, twist, p.steps, p.spans)]
+    weights = product(*axes) if len(axes) > 1 else axes[0]
+    if su2:
+        # su2 torus weights are symmetric about 0 with step g = 1 or 2, so
+        # weight mu + 2 sits 2 // g slots after mu; N(mu) = count(mu) -
+        # count(mu + 2) for mu >= 0
+        i, j = -(weights[0] // p.steps[0]), 2 // p.steps[0]
+        counts = list(map(sub, counts[i:], counts[i + j :] + (0,) * j))
+        weights = weights[i:]
+        if min(counts, default=0) < 0:
+            mu = weights[counts.index(min(counts))]
+            raise RuntimeError(f"su2 weight distribution not unimodal at mu={mu}, k={k}: engine bug")
+    return list(compress(weights, counts)), list(filter(None, counts))
 
 
 def torus_weight_counts(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUDGET):
@@ -158,21 +229,25 @@ def torus_weight_counts(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUD
     Rank 1 returns (offset, counts tuple) over the hull of the weights;
     rank >= 2 returns a dict keyed by the weight vectors of the support.
     """
-    p = _packed(s.torus_weights, tuple([k * d for d in s.bundle.degrees]), cell_budget)
-    twist = s.bundle.twist or (0,) * len(p.lo)  # weights are read at an offset of k * twist
-    counts = _slots(p)
-    if len(p.spans) == 1:
-        return p.lo[0] + k * twist[0], counts
-    axes = [range(a + k * c, a + k * c + n) for a, c, n in zip(p.lo, twist, p.spans)]
-    return {w: c for w, c in zip(product(*axes), counts) if c}
+    p = _level(s, k, cell_budget)
+    twist = _twist(s)
+    if len(p.spans) > 1:
+        return dict(zip(*_multiplicities(p, k, twist, False)))
+    (g,) = p.steps
+    counts = [0] * (g * (p.spans[0] - 1) + 1)
+    counts[::g] = _slots(p)
+    return p.lo[0] + k * twist[0], tuple(counts)
 
 
 def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     """Count of weight `vec` in the level-k counts `p` of a bundle with
     character `twist`, read from one slot."""
     idx = 0
-    for x, c, a, n in zip(vec, twist, p.lo, p.spans):
+    for x, c, a, g, n in zip(vec, twist, p.lo, p.steps, p.spans):
         x -= k * c + a
+        if x % g:
+            return 0
+        x //= g
         if not 0 <= x < n:
             return 0
         idx = idx * n + x
@@ -190,15 +265,15 @@ def section_dimensions(s: Scenario, mu, ks, cell_budget: int = DEFAULT_CELL_BUDG
     """
     vec = s.weight_vec(mu)
     dim = s.dim_irrep(mu)
-    wss = s.torus_weights
+    layout = s.weight_layout
     degrees = s.bundle.degrees
-    twist = s.bundle.twist or (0,) * len(vec)
+    twist = _twist(s)
     above = (vec[0] + 2,) if s.group.is_su2 else None
     out = []
     for k in ks:
         if k < 0:
             raise ScenarioError("tensor power must be >= 0")
-        p = _packed(wss, tuple([k * d for d in degrees]), cell_budget)
+        p = _packed(layout, tuple([k * d for d in degrees]), cell_budget)
         n = _weight_count(p, vec, k, twist)
         if above:
             n -= _weight_count(p, above, k, twist)
@@ -224,21 +299,8 @@ def full_weight_distribution(s: Scenario, k: int, cell_budget: int = DEFAULT_CEL
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    if s.group.torus_rank > 1:
-        return torus_weight_counts(s, k, cell_budget)
-    off, counts = torus_weight_counts(s, k, cell_budget)
-    if not s.group.is_su2:
-        return {off + i: c for i, c in enumerate(counts) if c}
-    # torus weights of su2 are symmetric about 0, so counts[-off] is weight 0
-    counts = counts[-off:] + (0, 0)
-    out = {}
-    for mu in range(len(counts) - 2):
-        n = counts[mu] - counts[mu + 2]
-        if n < 0:
-            raise RuntimeError(f"su2 weight distribution not unimodal at mu={mu}, k={k}: engine bug")
-        if n:
-            out[mu] = n
-    return out
+    p = _level(s, k, cell_budget)
+    return dict(zip(*_multiplicities(p, k, _twist(s), s.group.is_su2)))
 
 
 @dataclass
@@ -260,10 +322,18 @@ class IsotypicTable:
 
 
 def isotypic_table(s: Scenario, k_max: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> IsotypicTable:
+    """Every level 0..k_max from one ladder: each factor's recurrence runs
+    once, up to k_max * d_j, and nothing is cached."""
     entries = {}
-    for k in range(0, k_max + 1):
-        for mu, n in full_weight_distribution(s, k, cell_budget).items():
-            entries[(k, mu)] = n * s.dim_irrep(mu)
+    if k_max < 0:
+        return IsotypicTable(s, k_max, entries)
+    twist, su2 = _twist(s), s.group.is_su2
+    ladder = [tuple([k * d for d in s.bundle.degrees]) for k in range(k_max + 1)]
+    for k, p in enumerate(_ladder(s.weight_layout, ladder, cell_budget)):
+        mus, ns = _multiplicities(p, k, twist, su2)
+        if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
+            ns = [n * (mu + 1) for mu, n in zip(mus, ns)]
+        entries.update(zip(zip(repeat(k), mus), ns))
     return IsotypicTable(s, k_max, entries)
 
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
+from typing import NamedTuple
 
 Rational = Fraction
 
@@ -104,6 +106,20 @@ class LinearizedBundle:
     twist: tuple[int, ...] = ()
 
 
+class WeightLayout(NamedTuple):
+    """The factors' torus weights on the lattice of each coordinate's
+    common step: per factor, the least weight in each coordinate (``mins``),
+    every weight reduced to (w_i - min_i) / steps_i (``reduced``) and the
+    largest reduced weight in each coordinate (``reach``).  ``steps_i`` is
+    the gcd over all factors of w_i - min_i, or 1 when the coordinate is
+    constant; SU(2) weights move in steps of 2."""
+
+    mins: tuple
+    steps: tuple[int, ...]
+    reduced: tuple
+    reach: tuple
+
+
 @dataclass(frozen=True)
 class Scenario:
     group: GroupSpec
@@ -131,9 +147,23 @@ class Scenario:
 
     @cached_property
     def torus_weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each factor's torus weight vectors, built once per scenario; the
-        packed counts are cached under them."""
+        """Each factor's torus weight vectors, built once per scenario."""
         return tuple(f.torus_weights() for f in self.factors)
+
+    @cached_property
+    def weight_layout(self) -> WeightLayout:
+        """The torus weights reduced by each coordinate's common step, built
+        once per scenario; the packed counts are laid out and cached under
+        it, so scenarios with equal torus weights share them."""
+        wss = self.torus_weights
+        mins = tuple(tuple(map(min, zip(*ws))) for ws in wss)
+        steps = tuple(
+            gcd(*[w[i] - a[i] for ws, a in zip(wss, mins) for w in ws]) or 1 for i in range(len(mins[0]))
+        )
+        reduced = tuple(
+            tuple(tuple((x - b) // g for x, b, g in zip(w, a, steps)) for w in ws) for ws, a in zip(wss, mins)
+        )
+        return WeightLayout(mins, steps, reduced, tuple(tuple(map(max, zip(*ws))) for ws in reduced))
 
     def weight_key(self, vec: tuple[int, ...] | int):
         """Public form of a weight: plain int when 1-dimensional."""
@@ -296,7 +326,13 @@ def tensor_product(a: LinearizedBundle, b: LinearizedBundle) -> LinearizedBundle
 
 
 def scenario_power(s: Scenario, p: int) -> Scenario:
-    return Scenario(s.group, s.factors, tensor_power(s.bundle, p))
+    """`s` with the bundle L^p.  The torus weights and the weight layout do
+    not depend on the bundle, so those cached on `s` carry over."""
+    out = Scenario(s.group, s.factors, tensor_power(s.bundle, p))
+    for name in ("torus_weights", "weight_layout"):
+        if name in s.__dict__:
+            out.__dict__[name] = s.__dict__[name]
+    return out
 
 
 def with_bundle(s: Scenario, bundle: LinearizedBundle) -> Scenario:

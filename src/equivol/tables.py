@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 
 def render_rational(x) -> str:
@@ -33,11 +34,11 @@ def multiplicity_rows(s, items):
 
     The weights of one scenario are all ints or all tuples, so the natural
     order of the ((k, mu), dim) items is that order; `s` is not consulted.
+    Each distinct weight is rendered once.
     """
-    return [
-        {"k": k, "mu": render_weight(mu), "dim": dim}
-        for (k, mu), dim in sorted(items)
-    ]
+    items = sorted(items)
+    names = {mu: render_weight(mu) for mu in {mu for (_, mu), _ in items}}
+    return [{"k": k, "mu": names[mu], "dim": dim} for (k, mu), dim in items]
 
 
 def volume_rows(pairs):
@@ -59,13 +60,16 @@ def volume_rows(pairs):
 
 
 def to_csv(rows, fieldnames=None) -> str:
+    """A header line, then each row's values in `fieldnames` order (default:
+    the first row's keys), written in one call; every row has every field."""
     buf = io.StringIO()
     if fieldnames is None:
         fieldnames = list(rows[0]) if rows else []
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    # itemgetter of one key returns a bare value, not a sequence
+    values = itemgetter(*fieldnames) if len(fieldnames) > 1 else lambda row: [row[f] for f in fieldnames]
+    writer.writerows(map(values, rows))
     return buf.getvalue()
 
 

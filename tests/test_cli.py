@@ -211,8 +211,8 @@ def test_csv_of_no_rows_is_header_only():
     )
 
 
-# sparse rank-2 weights of size 1000: the packed counts of level 50 exceed
-# the default cell budget
+# sparse rank-2 weights of size 1000: every coordinate moves in steps of
+# 2000, which the packed counts divide out
 SPARSE_RANK2 = {
     "group": "circle_power",
     "g": 2,
@@ -223,12 +223,31 @@ SPARSE_RANK2 = {
     "bundle": {"degrees": [1, 1]},
 }
 
+# the same weights with a unit step added to each coordinate: the packed
+# counts of level 50 span 100001 x 100001 slots, over the default budget
+DENSE_RANK2 = {
+    "group": "circle_power",
+    "g": 2,
+    "factors": [
+        {"dim": 2, "weights": [[1000, 0], [-1000, 0], [1, 0]]},
+        {"dim": 2, "weights": [[0, 1000], [0, -1000], [0, 1]]},
+    ],
+    "bundle": {"degrees": [1, 1]},
+}
 
-def test_engine_limit_is_input_error(tmp_path, capsys):
+
+def test_sparse_weights_are_counted_in_steps(tmp_path, capsys):
     doc = tmp_path / "sparse.json"
     doc.write_text(json.dumps(SPARSE_RANK2))
     code, out, err = run(capsys, "multiplicity", "--scenario", str(doc), "--k", "50", "--mu", "0,0")
-    assert_one_error_line(code, out, err, "budget 60000000")
+    assert (code, out, err) == (0, 'k,mu,dim\n50,"(0,0)",1\n', "")
+
+
+def test_engine_limit_is_input_error(tmp_path, capsys):
+    doc = tmp_path / "dense.json"
+    doc.write_text(json.dumps(DENSE_RANK2))
+    code, out, err = run(capsys, "multiplicity", "--scenario", str(doc), "--k", "50", "--mu", "0,0")
+    assert_one_error_line(code, out, err, "need 10000200001 slots > budget 60000000")
 
 
 # documents that each give one field a value of the wrong JSON type

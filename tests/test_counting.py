@@ -7,6 +7,7 @@ trusted.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -163,6 +164,59 @@ def test_sorted_items_in_weight_order(corpus):
         assert table.sorted_items() == by_vector, name
 
 
+def level_entries(s, k_max):
+    """The table's entries, level by level from the cached packed counts."""
+    return {
+        (k, mu): n * s.dim_irrep(mu)
+        for k in range(k_max + 1)
+        for mu, n in full_weight_distribution(s, k).items()
+    }
+
+
+def test_isotypic_table_matches_levels_on_corpus(corpus):
+    for name, s in corpus:
+        for k_max in (0, 1, 7):
+            assert isotypic_table(s, k_max).entries == level_entries(s, k_max), (name, k_max)
+
+
+def test_isotypic_table_leaves_packed_cache_alone(corpus):
+    counting._packed.cache_clear()
+    for _, s in corpus:
+        isotypic_table(s, 9)
+    assert counting._packed.cache_info().currsize == 0
+
+
+def test_isotypic_table_budget_guard(p2_circle, p1p1_diag):
+    with pytest.raises(EngineLimit, match="cells"):
+        isotypic_table(p2_circle, 50, cell_budget=1000)
+    with pytest.raises(EngineLimit, match="slots"):
+        isotypic_table(p1p1_diag, 50, cell_budget=2000)
+    assert isotypic_table(p2_circle, -1).entries == {}
+
+
+def test_packed_counts_divide_out_the_weight_step(p1_hyperplane, su2_p3):
+    # weights (1, -1) move in steps of 2: level 4 spans 5 slots, not 9, and
+    # the decoded counts keep the zeros between the weights
+    p = counting._level(p1_hyperplane, 4, counting.DEFAULT_CELL_BUDGET)
+    assert (p.lo, p.steps, p.spans) == ((-4,), (2,), (5,))
+    assert counting.torus_weight_counts(p1_hyperplane, 2) == (-2, (1, 0, 1, 0, 1))
+    assert counting.torus_weight_counts(su2_p3, 1) == (-1, (2, 0, 2))
+    assert section_dimension(p1_hyperplane, 4, 1) == 0
+    # a constant coordinate keeps step 1 and span 1
+    s = circle_scenario([[(2, 5), (-2, 5)], [(0, 5), (4, 5)]], [1, 1])
+    p = counting._level(s, 3, counting.DEFAULT_CELL_BUDGET)
+    assert (p.lo, p.steps, p.spans) == ((-6, 30), (4, 1), (7, 1))
+    assert_oracle_agrees(s, range(0, 4))
+
+
+@pytest.mark.parametrize("nbytes", range(1, 10))
+def test_slots_decode_every_width(nbytes):
+    values = [0, 1, 255, 2 ** (8 * nbytes) - 1, 7]
+    raw = b"".join(v.to_bytes(nbytes, sys.byteorder) for v in values)
+    p = counting._Packed((0,), (1,), (len(values),), nbytes, raw)
+    assert counting._slots(p) == tuple(values)
+
+
 def test_oracle_budget_guard(p2_circle):
     with pytest.raises(EngineLimit):
         brute_force_oracle(p2_circle, 10_000)
@@ -192,7 +246,8 @@ def test_rank2_constant_factor_counts_all_monomials(tmp_path, capsys):
 
 
 def test_rank2_cell_budget_guard():
-    s = circle_scenario([[(1000, 0), (-1000, 0)], [(0, 1000), (0, -1000)]], [1, 1])
+    # steps of 1 next to weights of size 1000: no common step to divide out
+    s = circle_scenario([[(1000, 0), (-1000, 0), (1, 0)], [(0, 1000), (0, -1000), (0, 1)]], [1, 1])
     with pytest.raises(EngineLimit):
         section_dimension(s, 50, (0, 0), cell_budget=10**6)
     with pytest.raises(EngineLimit):

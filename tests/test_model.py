@@ -7,6 +7,7 @@ from equivol import (
     ScenarioError,
     circle_scenario,
     scenario_from_dict,
+    scenario_power,
     scenario_to_dict,
     tensor_power,
     tensor_product,
@@ -147,8 +148,28 @@ def test_zero_weight(p1_hyperplane, p1p1_diag, su2_p3):
 def test_torus_weights(p1p1_diag, su2_p3):
     assert p1p1_diag.torus_weights == (((1, 0), (-1, 0)), ((0, 1), (0, -1)))
     assert su2_p3.torus_weights == (((1,), (-1,), (1,), (-1,)),)
-    # built once: the packed-count cache holds one key per scenario
     assert su2_p3.torus_weights is su2_p3.torus_weights
+
+
+def test_weight_layout(p1p1_diag, su2_p3):
+    # each coordinate's weights reduced by their common step (2 in every
+    # coordinate here); a constant coordinate keeps step 1
+    assert su2_p3.weight_layout == (((-1,),), (2,), (((1,), (0,), (1,), (0,)),), ((1,),))
+    assert p1p1_diag.weight_layout == (
+        ((-1, 0), (0, -1)),
+        (2, 2),
+        (((1, 0), (0, 0)), ((0, 1), (0, 0))),
+        ((1, 0), (0, 1)),
+    )
+    s = circle_scenario([[(3, 7), (-1, 7), (1, 7)]], [1])
+    assert s.weight_layout == (((-1, 7),), (2, 1), (((2, 0), (0, 0), (1, 0)),), ((2, 0),))
+    # built once: the packed-count cache holds one key per scenario, and
+    # the tensor powers of a scenario share it
+    assert su2_p3.weight_layout is su2_p3.weight_layout
+    cube = scenario_power(p1p1_diag, 3)
+    assert cube.weight_layout is p1p1_diag.weight_layout
+    assert cube.torus_weights is p1p1_diag.torus_weights
+    assert cube.bundle.degrees == (3, 3)
 
 
 def test_dim_irrep(p2_circle, p1p1_diag, su2_p3):

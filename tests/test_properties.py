@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from equivol import (
     full_weight_distribution,
     g_exponent,
     generic_stabilizer,
+    isotypic_table,
     moment_image,
     scenario_power,
     section_dimension,
@@ -62,6 +64,17 @@ def rank2_scenarios(draw):
     degrees = draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
     twist = draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
     return circle_scenario(factors, degrees, twist=twist)
+
+
+@st.composite
+def stepped_scenarios(draw):
+    """Rank-1 and rank-2 scenarios with each coordinate's weights scaled by
+    a step of 1 to 3 and the twist left unscaled, so the packed counts
+    divide the step out and read most weights as 0."""
+    s = draw(st.one_of(rank1_scenarios(), rank2_scenarios()))
+    steps = draw(st.lists(st.integers(1, 3), min_size=s.group.torus_rank, max_size=s.group.torus_rank))
+    factors = [[tuple(x * g for x, g in zip(w, steps)) for w in ws] for ws in s.torus_weights]
+    return circle_scenario(factors, s.bundle.degrees, twist=s.bundle.twist)
 
 
 @st.composite
@@ -115,6 +128,31 @@ def test_rank2_engine_matches_oracle(s, data):
 @given(su2_scenarios(), st.data())
 def test_su2_engine_matches_oracle(s, data):
     check_engine(s, data)
+
+
+@SETTINGS
+@given(stepped_scenarios(), st.data())
+def test_stepped_engine_matches_oracle(s, data):
+    check_engine(s, data)
+
+
+# the table reads every level from one ladder with slots sized at k_max;
+# the cached per-level counts size their slots at each level
+KINDS = {"rank1": rank1_scenarios(), "rank2": rank2_scenarios(), "su2": su2_scenarios(), "stepped": stepped_scenarios()}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@SETTINGS
+@given(data=st.data())
+def test_isotypic_table_matches_levels(kind, data):
+    s = data.draw(KINDS[kind])
+    k_max = data.draw(st.integers(0, 6))
+    expect = {
+        (k, mu): n * s.dim_irrep(mu)
+        for k in range(k_max + 1)
+        for mu, n in full_weight_distribution(s, k).items()
+    }
+    assert isotypic_table(s, k_max).entries == expect
 
 
 @st.composite
