@@ -27,7 +27,6 @@ from .counting import (
     IsotypicTable,
     brute_force_oracle,
     full_weight_distribution,
-    isotypic_multiplicity,
     isotypic_table,
     section_dimension,
     section_dimensions,

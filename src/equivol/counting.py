@@ -35,7 +35,12 @@ through one level at a time: its product is cached as bytes
 weights reduced by their steps) and levels, and takes the last row of the
 same recurrence.  The twist never enters the cache key but is applied as
 an offset when a slot is read.  :func:`section_dimensions` reads one
-weight at many levels in one call.
+weight at many levels in one call, and :func:`full_weight_distribution`
+reads every weight of one level.
+
+Every DP and product is checked against one cap, CELL_BUDGET, read at call
+time; a request past it raises :class:`EngineLimit`.  For a deliberately
+huge run, assign ``equivol.counting.CELL_BUDGET`` first.
 
 The two routes must agree everywhere the oracle runs; the verification
 suites check this.
@@ -60,9 +65,11 @@ from typing import NamedTuple
 from .model import Scenario, ScenarioError, WeightLayout
 
 # Cap on packed DP cells (degree x packed slots x coordinates, per factor)
-# and on the packed slots of the product; raise for deliberately huge runs.
-DEFAULT_CELL_BUDGET = 60_000_000
+# and on the packed slots of the product, read at call time; for a
+# deliberately huge run, assign equivol.counting.CELL_BUDGET first.
+CELL_BUDGET = 60_000_000
 
+# Cap on the basis monomials brute_force_oracle enumerates.
 ORACLE_BUDGET = 10**6
 
 
@@ -99,15 +106,15 @@ _SLOT_FORMATS = {struct.calcsize(c): c for c in "BHIQ"}
 _SLOT_WIDTHS = {nb: min(w for w in _SLOT_FORMATS if w >= nb) for nb in range(1, 9)}
 
 
-def _factor_rows(ws: tuple, reach: tuple, m: int, nbytes: int, cell_budget: int) -> list[int]:
+def _factor_rows(ws: tuple, reach: tuple, m: int, nbytes: int) -> list[int]:
     """Rows h_0..h_m of the complete homogeneous polynomials in the weight
     monomials of one factor, whose reduced weights `ws` lie in 0..reach_i.
     Every row is packed in the box of the degree-m weights, sides
     1 + m * reach_i; row j fills its corner box of sides 1 + j * reach_i."""
     box = [1 + m * r for r in reach]
     cells = (m + 1) * len(ws) * prod(box)  # every row is kept
-    if cells > cell_budget:
-        raise EngineLimit(f"weight DP needs {cells} cells > budget {cell_budget}")
+    if cells > CELL_BUDGET:
+        raise EngineLimit(f"weight DP needs {cells} cells > budget {CELL_BUDGET}")
     bits = [8 * nbytes * prod(box[i + 1 :]) for i in range(len(box))]
     rows = [1] + [0] * m
     for w in ws:
@@ -134,7 +141,7 @@ def _place(h: int, src: list[int], box: list[int], strides: list[int], nbytes: i
     return int.from_bytes(out, _ORDER)
 
 
-def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]], cell_budget: int):
+def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
     """Weight counts of the product of factors with weights `layout`, one
     packed record per tuple of levels in `ladder`, whose last tuple bounds
     every other.
@@ -150,11 +157,11 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]], cell_budget: in
     top = ladder[-1]
     axes = range(len(steps))
     nslots = prod(1 + sum(m * r[i] for m, r in zip(top, reach)) for i in axes)
-    if nslots > cell_budget:
-        raise EngineLimit(f"packed weight counts need {nslots} slots > budget {cell_budget}")
+    if nslots > CELL_BUDGET:
+        raise EngineLimit(f"packed weight counts need {nslots} slots > budget {CELL_BUDGET}")
     total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(reduced, top))
     nbytes = max(1, (total.bit_length() + 7) // 8)
-    rows = [_factor_rows(ws, r, m, nbytes, cell_budget) for ws, r, m in zip(reduced, reach, top)]
+    rows = [_factor_rows(ws, r, m, nbytes) for ws, r, m in zip(reduced, reach, top)]
     srcs = [[1 + m * x for x in r] for r, m in zip(reach, top)]
     for levels in ladder:
         boxes = [[1 + m * x for x in r] for r, m in zip(reach, levels)]
@@ -168,19 +175,16 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]], cell_budget: in
 
 
 @lru_cache(maxsize=None)
-def _packed(layout: WeightLayout, levels: tuple[int, ...], cell_budget: int) -> _Packed:
+def _packed(layout: WeightLayout, levels: tuple[int, ...]) -> _Packed:
     """The weight counts of :func:`_ladder` at one tuple of levels, cached.
 
     The layout is a function of the torus weights alone, so scenarios that
     share them (an SU(2) block and the circle action with its weights)
-    share every level.
+    share every level.  The budget is a guard, not an input: a level cached
+    before CELL_BUDGET changes is still served.  ``_packed.cache_info()``
+    and ``_packed.cache_clear()`` inspect and clear the cache.
     """
-    return next(_ladder(layout, [levels], cell_budget))
-
-
-def _level(s: Scenario, k: int, cell_budget: int) -> _Packed:
-    """The cached weight counts of H^0(M, L^k), twist excluded."""
-    return _packed(s.weight_layout, tuple([k * d for d in s.bundle.degrees]), cell_budget)
+    return next(_ladder(layout, [levels]))
 
 
 def _slots(p: _Packed) -> tuple[int, ...]:
@@ -195,12 +199,6 @@ def _slots(p: _Packed) -> tuple[int, ...]:
             wide[pad + j :: width] = raw[j::nb]
         raw = wide
     return tuple(memoryview(raw).cast(_SLOT_FORMATS[width]))
-
-
-def _twist(s: Scenario) -> tuple[int, ...]:
-    """The bundle's character; weights of level k are read at an offset of
-    k * twist."""
-    return s.bundle.twist or (0,) * s.group.torus_rank
 
 
 def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
@@ -223,22 +221,6 @@ def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
     return list(compress(weights, counts)), list(filter(None, counts))
 
 
-def torus_weight_counts(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUDGET):
-    """Torus-weight multiplicity function of H^0(M, L^k), twist included.
-
-    Rank 1 returns (offset, counts tuple) over the hull of the weights;
-    rank >= 2 returns a dict keyed by the weight vectors of the support.
-    """
-    p = _level(s, k, cell_budget)
-    twist = _twist(s)
-    if len(p.spans) > 1:
-        return dict(zip(*_multiplicities(p, k, twist, False)))
-    (g,) = p.steps
-    counts = [0] * (g * (p.spans[0] - 1) + 1)
-    counts[::g] = _slots(p)
-    return p.lo[0] + k * twist[0], tuple(counts)
-
-
 def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     """Count of weight `vec` in the level-k counts `p` of a bundle with
     character `twist`, read from one slot."""
@@ -255,7 +237,7 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
-def section_dimensions(s: Scenario, mu, ks, cell_budget: int = DEFAULT_CELL_BUDGET) -> list[int]:
+def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one per
     level k of `ks`, in the order given.
 
@@ -267,13 +249,13 @@ def section_dimensions(s: Scenario, mu, ks, cell_budget: int = DEFAULT_CELL_BUDG
     dim = s.dim_irrep(mu)
     layout = s.weight_layout
     degrees = s.bundle.degrees
-    twist = _twist(s)
+    twist = s.twist_vec
     above = (vec[0] + 2,) if s.group.is_su2 else None
     out = []
     for k in ks:
         if k < 0:
             raise ScenarioError("tensor power must be >= 0")
-        p = _packed(layout, tuple([k * d for d in degrees]), cell_budget)
+        p = _packed(layout, tuple([k * d for d in degrees]))
         n = _weight_count(p, vec, k, twist)
         if above:
             n -= _weight_count(p, above, k, twist)
@@ -283,24 +265,19 @@ def section_dimensions(s: Scenario, mu, ks, cell_budget: int = DEFAULT_CELL_BUDG
     return out
 
 
-def section_dimension(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
+def section_dimension(s: Scenario, k: int, mu) -> int:
     """Isotypic dimension dim H^0(M, L^k)_mu = N(mu) * dim V_mu."""
-    return section_dimensions(s, mu, (k,), cell_budget)[0]
+    return section_dimensions(s, mu, (k,))[0]
 
 
-def isotypic_multiplicity(s: Scenario, k: int, mu, cell_budget: int = DEFAULT_CELL_BUDGET) -> int:
-    """Multiplicity N(mu) of V_mu inside H^0(M, L^k)."""
-    return section_dimensions(s, mu, (k,), cell_budget)[0] // s.dim_irrep(mu)
-
-
-def full_weight_distribution(s: Scenario, k: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> dict:
+def full_weight_distribution(s: Scenario, k: int) -> dict:
     """Complete isotypic decomposition at level k: mu -> multiplicity N(mu).
 
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    p = _level(s, k, cell_budget)
-    return dict(zip(*_multiplicities(p, k, _twist(s), s.group.is_su2)))
+    p = _packed(s.weight_layout, tuple([k * d for d in s.bundle.degrees]))
+    return dict(zip(*_multiplicities(p, k, s.twist_vec, s.group.is_su2)))
 
 
 @dataclass
@@ -316,20 +293,20 @@ class IsotypicTable:
     entries: dict = field(default_factory=dict)
 
     def sorted_items(self):
-        """Entries in (k, weight vector) order: the weights of one table are
-        all ints or all tuples, so their natural order is that order."""
-        return sorted(self.entries.items())
+        """Entries in (k, weight vector) order, which is the order
+        :func:`isotypic_table` inserts them in."""
+        return list(self.entries.items())
 
 
-def isotypic_table(s: Scenario, k_max: int, cell_budget: int = DEFAULT_CELL_BUDGET) -> IsotypicTable:
+def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     """Every level 0..k_max from one ladder: each factor's recurrence runs
     once, up to k_max * d_j, and nothing is cached."""
     entries = {}
     if k_max < 0:
         return IsotypicTable(s, k_max, entries)
-    twist, su2 = _twist(s), s.group.is_su2
+    twist, su2 = s.twist_vec, s.group.is_su2
     ladder = [tuple([k * d for d in s.bundle.degrees]) for k in range(k_max + 1)]
-    for k, p in enumerate(_ladder(s.weight_layout, ladder, cell_budget)):
+    for k, p in enumerate(_ladder(s.weight_layout, ladder)):
         mus, ns = _multiplicities(p, k, twist, su2)
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
             ns = [n * (mu + 1) for mu, n in zip(mus, ns)]
@@ -351,7 +328,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def brute_force_oracle(s: Scenario, k: int, budget: int = ORACLE_BUDGET) -> dict:
+def brute_force_oracle(s: Scenario, k: int) -> dict:
     """Recompute :func:`full_weight_distribution` by explicit enumeration.
 
     Circle powers: every monomial is listed and its weight summed directly.
@@ -359,12 +336,12 @@ def brute_force_oracle(s: Scenario, k: int, budget: int = ORACLE_BUDGET) -> dict
     and the multiplicity of V_mu is the exact kernel dimension
     dim W_mu - rank(E|_{W_mu}).
 
-    Only feasible for small total dimension (default bound 10^6 basis
+    Only feasible for small total dimension (at most ORACLE_BUDGET basis
     monomials); meant as an independent check of the packed counting engine.
     """
     total = total_dimension(s, k)
-    if total > budget:
-        raise EngineLimit(f"oracle enumeration needs {total} monomials > budget {budget}")
+    if total > ORACLE_BUDGET:
+        raise EngineLimit(f"oracle enumeration needs {total} monomials > budget {ORACLE_BUDGET}")
     if s.group.is_su2:
         return _su2_oracle(s, k)
 

@@ -416,7 +416,7 @@ class CompatibilityCertificate:
 def bundle_fiber_character(s: Scenario, stab: StabilizerData) -> tuple[int, ...]:
     """Residue of the character by which K acts on the fiber of L at a
     general point: sum_j d_j * w_{j,0} + c restricted to K."""
-    base = s.bundle.twist or (0,) * s.group.torus_rank
+    base = s.twist_vec
     for ws, d in zip(s.torus_weights, s.bundle.degrees):
         # well-definedness: every coordinate choice must give the same residue
         if not all(stab.contains(tuple(d * (x - y) for x, y in zip(w, ws[0]))) for w in ws):

@@ -183,6 +183,13 @@ class Scenario:
             raise ScenarioError(f"weight {mu!r} must have length {r}")
         return mu
 
+    @property
+    def twist_vec(self) -> tuple[int, ...]:
+        """The bundle's character as a torus weight vector: zeros for SU(2),
+        whose twist is ``()``.  Level k's weights sit k * twist_vec away from
+        those of the untwisted bundle."""
+        return self.bundle.twist or (0,) * self.group.torus_rank
+
     def check_dominant(self, mu) -> None:
         if self.group.is_su2 and self.weight_vec(mu)[0] < 0:
             raise ScenarioError("su2 highest weights must be >= 0")
@@ -362,7 +369,7 @@ def weight_of_monomial(s: Scenario, exponents, k: int | None = None):
         k = deg0 // d0
 
     r = s.group.torus_rank
-    total = [k * c for c in s.bundle.twist] if s.bundle.twist else [0] * r
+    total = [k * c for c in s.twist_vec]
     pos = 0
     for j, f in enumerate(s.factors):
         ws = f.torus_weights()

@@ -88,11 +88,12 @@ def run_suite(name: str, corpus) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def suite_oracle(corpus, k_max: int = 8) -> SuiteReport:
-    """Engine distribution == brute-force enumeration, plus conservation."""
+def suite_oracle(corpus) -> SuiteReport:
+    """Engine distribution == brute-force enumeration, plus conservation,
+    at k = 0..8."""
     records = []
     for name, s in corpus:
-        for k in range(0, k_max + 1):
+        for k in range(0, 9):
             engine = full_weight_distribution(s, k)
             oracle = brute_force_oracle(s, k)
             ok = engine == oracle
@@ -163,17 +164,17 @@ def suite_homogeneity(corpus) -> SuiteReport:
     return SuiteReport("homogeneity", [n for n, _ in corpus], records)
 
 
-def suite_exponent_law(corpus, p_max: int = 12) -> SuiteReport:
-    """e_G(L^p) = e_G(L)/gcd(p, e_G(L)) for p in [1, p_max]."""
+def suite_exponent_law(corpus) -> SuiteReport:
+    """e_G(L^p) = e_G(L)/gcd(p, e_G(L)) for p in [1, 12], each power's
+    semigroup read up to m = 12 (exponents stabilize at once on the corpus)."""
     records = []
-    power_horizon = 12  # exponents stabilize immediately on the corpus
     for name, s in corpus:
         er = g_exponent(s)
         if er.exponent is None:
             continue
         e = er.exponent
-        for p in range(1, p_max + 1):
-            got = g_exponent(scenario_power(s, p), power_horizon).exponent
+        for p in range(1, 13):
+            got = g_exponent(scenario_power(s, p), 12).exponent
             want = e // gcd(p, e)
             records.append(
                 CheckRecord(
@@ -227,23 +228,24 @@ def suite_compatibility(corpus) -> SuiteReport:
     return SuiteReport("compatibility", [n for n, _ in corpus], records)
 
 
-def suite_vanishing(corpus, k_support: int = 12, k_max: int = 40) -> SuiteReport:
-    """Counted support lies in the scaled moment image; on unstable
-    scenarios the counts vanish at and beyond the emitted bound."""
+def suite_vanishing(corpus) -> SuiteReport:
+    """Counted support lies in the scaled moment image for k <= 12; on
+    unstable scenarios the counts vanish from the emitted bound up to
+    k = 40."""
     records = []
     for name, s in corpus:
         if not geometry.supported(s):
             continue
         img = geometry.moment_image(s)
         bad = []
-        for k in range(1, k_support + 1):
+        for k in range(1, 13):
             for mu in full_weight_distribution(s, k):
                 if not img.scaled_contains(s.weight_vec(mu), k):
                     bad.append((k, render_weight(mu)))
         records.append(
             CheckRecord(
                 name,
-                f"support of H^0(L^k) inside k * moment image, k <= {k_support}",
+                "support of H^0(L^k) inside k * moment image, k <= 12",
                 f"{len(bad)} escapes",
                 "0 escapes",
                 not bad,
@@ -254,13 +256,13 @@ def suite_vanishing(corpus, k_support: int = 12, k_max: int = 40) -> SuiteReport
             continue
         for mu in s.default_mus():
             r = geometry.vanishing_certificate(s, mu)
-            ok = r is not None and not any(section_dimensions(s, mu, range(r, k_max + 1)))
+            ok = r is not None and not any(section_dimensions(s, mu, range(r, 41)))
             records.append(
                 CheckRecord(
                     name,
                     f"counts vanish for k >= r_mu, mu={render_weight(mu)}",
                     f"r_mu={r}",
-                    f"zero up to k={k_max}",
+                    "zero up to k=40",
                     ok,
                     {"mu": render_weight(mu), "r_mu": r},
                 )
@@ -315,9 +317,11 @@ def suite_monotonicity(corpus) -> SuiteReport:
     return SuiteReport("monotonicity", [n for n, _ in corpus], records)
 
 
-def suite_translation(corpus, m_max: int = 40) -> SuiteReport:
+def suite_translation(corpus) -> SuiteReport:
     """Beyond a finite prefix, the mu-semigroup is the witness translate of
-    the invariant semigroup on regular scenarios."""
+    the invariant semigroup on regular scenarios, read up to m = 40; the
+    prefix may reach m = 20."""
+    m_max = 40
     records = []
     for name, s in corpus:
         if not geometry.supported(s):
@@ -363,13 +367,14 @@ def suite_translation(corpus, m_max: int = 40) -> SuiteReport:
     return SuiteReport("translation", [n for n, _ in corpus], records)
 
 
-def continuity_family(d_max: int = 6, twist_radius: int = 3):
-    """The rank-one family on P^2 with weights (-1,1,1): bundles (d, c)."""
+def continuity_family():
+    """The rank-one family on P^2 with weights (-1,1,1): bundles (d, c) for
+    d in 1..6 and c in -3..3."""
     from .model import circle_scenario
 
     fam = []
-    for d in range(1, d_max + 1):
-        for c in range(-twist_radius, twist_radius + 1):
+    for d in range(1, 7):
+        for c in range(-3, 4):
             fam.append(((d, c), circle_scenario([[-1, 1, 1]], [d], twist=c)))
     return fam
 

@@ -203,7 +203,7 @@ def _levels(s: Scenario, mus) -> list[list[int]]:
         return tuple(v[i] for i in keep)
 
     cols = [cut(c) for c in cols]
-    b1 = cut(s.bundle.degrees + tuple(-c for c in s.bundle.twist or (0,)))
+    b1 = cut(s.bundle.degrees + tuple(-c for c in s.twist_vec))
     b0s = []
     for mu in mus:
         nu = s.weight_vec(mu)

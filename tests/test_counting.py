@@ -18,7 +18,6 @@ from equivol import (
     circle_scenario,
     counting,
     full_weight_distribution,
-    isotypic_multiplicity,
     isotypic_table,
     scenario_from_dict,
     section_dimension,
@@ -73,7 +72,7 @@ def test_su2_p3_distribution_small(su2_p3):
 
 
 def test_su2_multiplicity_vs_dimension(su2_p3):
-    assert isotypic_multiplicity(su2_p3, 5, 3) == 4
+    assert full_weight_distribution(su2_p3, 5)[3] == 4
     assert section_dimension(su2_p3, 5, 3) == 16
 
 
@@ -186,25 +185,27 @@ def test_isotypic_table_leaves_packed_cache_alone(corpus):
     assert counting._packed.cache_info().currsize == 0
 
 
-def test_isotypic_table_budget_guard(p2_circle, p1p1_diag):
+def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
+    monkeypatch.setattr(counting, "CELL_BUDGET", 1000)
     with pytest.raises(EngineLimit, match="cells"):
-        isotypic_table(p2_circle, 50, cell_budget=1000)
+        isotypic_table(p2_circle, 50)
+    monkeypatch.setattr(counting, "CELL_BUDGET", 2000)
     with pytest.raises(EngineLimit, match="slots"):
-        isotypic_table(p1p1_diag, 50, cell_budget=2000)
+        isotypic_table(p1p1_diag, 50)
     assert isotypic_table(p2_circle, -1).entries == {}
 
 
 def test_packed_counts_divide_out_the_weight_step(p1_hyperplane, su2_p3):
     # weights (1, -1) move in steps of 2: level 4 spans 5 slots, not 9, and
     # the decoded counts keep the zeros between the weights
-    p = counting._level(p1_hyperplane, 4, counting.DEFAULT_CELL_BUDGET)
+    p = counting._packed(p1_hyperplane.weight_layout, (4,))
     assert (p.lo, p.steps, p.spans) == ((-4,), (2,), (5,))
-    assert counting.torus_weight_counts(p1_hyperplane, 2) == (-2, (1, 0, 1, 0, 1))
-    assert counting.torus_weight_counts(su2_p3, 1) == (-1, (2, 0, 2))
+    assert [section_dimension(p1_hyperplane, 2, mu) for mu in range(-2, 3)] == [1, 0, 1, 0, 1]
+    assert full_weight_distribution(su2_p3, 1) == {1: 2}
     assert section_dimension(p1_hyperplane, 4, 1) == 0
     # a constant coordinate keeps step 1 and span 1
     s = circle_scenario([[(2, 5), (-2, 5)], [(0, 5), (4, 5)]], [1, 1])
-    p = counting._level(s, 3, counting.DEFAULT_CELL_BUDGET)
+    p = counting._packed(s.weight_layout, (3, 3))
     assert (p.lo, p.steps, p.spans) == ((-6, 30), (4, 1), (7, 1))
     assert_oracle_agrees(s, range(0, 4))
 
@@ -217,9 +218,40 @@ def test_slots_decode_every_width(nbytes):
     assert counting._slots(p) == tuple(values)
 
 
-def test_oracle_budget_guard(p2_circle):
+def test_oracle_budget_guard(p2_circle, corpus, monkeypatch):
     with pytest.raises(EngineLimit):
         brute_force_oracle(p2_circle, 10_000)
+    # the budget is read at call time: P^2 at k = 2 has 6 basis monomials
+    with monkeypatch.context() as m:
+        m.setattr(counting, "ORACLE_BUDGET", 5)
+        with pytest.raises(EngineLimit, match="needs 6 monomials > budget 5"):
+            brute_force_oracle(p2_circle, 2)
+        m.setattr(counting, "ORACLE_BUDGET", 6)
+        assert brute_force_oracle(p2_circle, 2) == full_weight_distribution(p2_circle, 2)
+
+    # P^3, O(1) at k = 200 has C(203, 3) > 10^6 monomials: the guard fires
+    # before any enumeration starts
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(counting, "_compositions", no_enumeration)
+    with pytest.raises(EngineLimit, match="oracle enumeration needs 1373701 monomials > budget 1000000"):
+        brute_force_oracle(dict(corpus)["p3_balanced"], 200)
+
+
+def test_one_cell_budget(p2_circle, p1p1_diag, monkeypatch):
+    counting._packed.cache_clear()
+    cached = full_weight_distribution(p2_circle, 3)
+    monkeypatch.setattr(counting, "CELL_BUDGET", 10)
+    with pytest.raises(EngineLimit, match="budget 10"):
+        section_dimensions(p2_circle, 0, [4])
+    with pytest.raises(EngineLimit, match="budget 10"):
+        full_weight_distribution(p1p1_diag, 2)
+    with pytest.raises(EngineLimit, match="budget 10"):
+        isotypic_table(p2_circle, 3)
+    # the budget guards new work only: a level cached before it fell is served
+    assert full_weight_distribution(p2_circle, 3) == cached
+    assert section_dimensions(p2_circle, 1, [3]) == [cached[1]]
 
 
 # a rank-2 factor whose coordinate weights all coincide, beside one that varies
@@ -245,11 +277,13 @@ def test_rank2_constant_factor_counts_all_monomials(tmp_path, capsys):
     assert {dim for k, *_, dim in rows if k == "2"} == {"3"}
 
 
-def test_rank2_cell_budget_guard():
+def test_rank2_cell_budget_guard(monkeypatch):
     # steps of 1 next to weights of size 1000: no common step to divide out
     s = circle_scenario([[(1000, 0), (-1000, 0), (1, 0)], [(0, 1000), (0, -1000), (0, 1)]], [1, 1])
-    with pytest.raises(EngineLimit):
-        section_dimension(s, 50, (0, 0), cell_budget=10**6)
+    with monkeypatch.context() as m:
+        m.setattr(counting, "CELL_BUDGET", 10**6)
+        with pytest.raises(EngineLimit):
+            section_dimension(s, 50, (0, 0))
     with pytest.raises(EngineLimit):
         full_weight_distribution(s, 50)
     assert section_dimension(s, 1, (1000, 1000)) == 1

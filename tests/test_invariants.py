@@ -12,6 +12,7 @@ from equivol import (
     UnsupportedScenario,
     circle_scenario,
     classify_stability,
+    counting,
     dh_slice_volume,
     equivariant_volume,
     full_weight_distribution,
@@ -82,10 +83,11 @@ def test_mu_semigroup_translation_structure(su2_p3):
         assert mu_semigroup(su2_p3, mu, 30) == expect
 
 
-def test_cell_budget_guard():
+def test_cell_budget_guard(monkeypatch):
+    monkeypatch.setattr(counting, "CELL_BUDGET", 1000)
     s = circle_scenario([[10**3, -(10**3)]], [1])
     with pytest.raises(EngineLimit):
-        section_dimension(s, 10**4, 0, cell_budget=1000)
+        section_dimension(s, 10**4, 0)
 
 
 def test_dh_slice_preconditions():
@@ -207,7 +209,10 @@ def _is_cache(node) -> bool:
 
 def test_no_new_module_level_caches():
     # per-scenario state belongs on objects: a module-level cache grows
-    # without bound, and only this one is left to move into an engine
+    # without bound.  The packed-level cache is the one engine object:
+    # keyed by weight layout and levels alone, inspected and cleared with
+    # cache_info() and cache_clear(), and left unbounded until a workload
+    # shows it growing
     allowed = {"counting._packed"}
     found = set()
     for path in sorted(Path(equivol.__file__).parent.glob("*.py")):

@@ -145,6 +145,16 @@ def test_zero_weight(p1_hyperplane, p1p1_diag, su2_p3):
     assert su2_p3.zero_weight == 0
 
 
+def test_twist_vec(corpus):
+    for name, s in corpus:
+        if s.group.is_su2:
+            assert s.bundle.twist == () and s.twist_vec == (0,), name
+        else:
+            assert s.twist_vec == s.bundle.twist == (0,) * s.group.dim, name
+    assert circle_scenario([[1, -1]], [1], twist=3).twist_vec == (3,)
+    assert circle_scenario([[(1, 0), (0, 1)]], [2], twist=(-1, 2)).twist_vec == (-1, 2)
+
+
 def test_torus_weights(p1p1_diag, su2_p3):
     assert p1p1_diag.torus_weights == (((1, 0), (-1, 0)), ((0, 1), (0, -1)))
     assert su2_p3.torus_weights == (((1,), (-1,), (1,), (-1,)),)
