@@ -348,8 +348,7 @@ def brute_force_oracle(s: Scenario, k: int) -> dict:
     r = s.group.torus_rank
     shift = tuple(k * c for c in s.bundle.twist)
     factor_weight_lists = []
-    for f, d in zip(s.factors, s.bundle.degrees):
-        ws = f.torus_weights()
+    for f, ws, d in zip(s.factors, s.torus_weights, s.bundle.degrees):
         lst = []
         for alpha in _compositions(k * d, f.dim + 1):
             lst.append(tuple(sum(a * w[i] for a, w in zip(alpha, ws)) for i in range(r)))

@@ -12,21 +12,24 @@ does, takes integer dot products and floor division, never a Fraction.
 Stability of a bundle is read off the position of the origin:
 
 * outside the image              -> every point is unstable;
-* at the image of a fixed point
-  or on a critical segment       -> semistable != stable (a wall);
-* interior and non-critical      -> regular (stable = semistable != empty).
+* a critical value               -> semistable != stable (a wall);
+* a regular value                -> regular (stable = semistable != empty).
 
-For rank-2 torus actions the critical values of the moment map are the
-weighted Minkowski sums of per-factor weight groups that are constant
-along some direction orthogonal to a coordinate-weight difference; the
-origin is a regular value iff it avoids all of them.  SU(2) factors are
+A critical value is the image of a stratum whose coordinate weights span
+less than the torus, and by Caratheodory such an image lies in the cone
+of a wall of the column lattice (``Scenario.column_lattice``): the origin
+is critical exactly when the stabilizer is infinite or the ray
+b1 = (degrees, -twist) lies in the closed cone of rank A - 1 independent
+columns (e_j, w).  Images of fixed points, edges of the image and
+critical segments inside it all lie in such cones.  SU(2) factors are
 classified through the classical stability theory of binary forms,
 restricted to the supported single-factor scenarios.
 
-The generic stabilizer is read off the torus weights of both group kinds
-(``Scenario.torus_weights``; an SU(2) block Sym^m has the weights m - 2a):
-its character group is Z^r modulo the lattice the coordinate-weight
-differences span, kept as one lower-triangular basis at every torus rank.
+The generic stabilizer is read off the same column lattice for both group
+kinds (an SU(2) block Sym^m has the torus weights m - 2a): its character
+group is Z^(nf+r) modulo the columns, which is Z^r modulo the lattice the
+coordinate-weight differences span, kept as one lower-triangular basis at
+every torus rank.
 """
 
 from __future__ import annotations
@@ -136,10 +139,6 @@ class MomentImage:
         ineqs, eqs = self._half_planes
         return all(beta <= 0 for beta, _ in ineqs) and all(beta == 0 for beta, _ in eqs)
 
-    def zero_interior(self) -> bool:
-        ineqs, eqs = self._half_planes
-        return not eqs and all(beta < 0 for beta, _ in ineqs)
-
     def scaled_contains(self, mu_vec: tuple[int, ...], k: int) -> bool:
         """Exact test mu in k * image."""
         ineqs, eqs = self._half_planes
@@ -213,67 +212,6 @@ def moment_image(s: Scenario) -> MomentImage:
     return MomentImage(rank=s.group.dim, vertices=image)
 
 
-def fixed_point_images(s: Scenario) -> set:
-    """Moment images of the torus-fixed points: one distinct coordinate
-    weight per factor, d-weighted and twisted."""
-    if s.group.is_su2:
-        raise UnsupportedScenario("fixed-point images are a torus-side computation")
-    per_factor = [
-        {tuple(d * x for x in w) for w in f.weights}
-        for f, d in zip(s.factors, s.bundle.degrees)
-    ]
-    out = set()
-    for combo in itertools.product(*per_factor):
-        v = tuple(sum(x) + c for x, c in zip(zip(*combo), s.bundle.twist))
-        out.add(s.weight_key(v))
-    return out
-
-
-def _primitive(v: tuple[int, int]) -> tuple[int, int]:
-    g = gcd(v[0], v[1])
-    return (v[0] // g, v[1] // g)
-
-
-def _zero_is_critical_rank2(s: Scenario) -> bool:
-    # 0 lies on a critical segment: some direction xi orthogonal to a
-    # weight difference, per-factor weight groups constant along xi whose
-    # weighted sum line passes through 0 with 0 inside the segment.
-    dirs = set()
-    for f in s.factors:
-        ws = f.weights
-        for a, b in itertools.combinations(ws, 2):
-            d = (a[0] - b[0], a[1] - b[1])
-            if d != (0, 0):
-                xi = _primitive((-d[1], d[0]))
-                dirs.add(xi if xi > (-xi[0], -xi[1]) else (-xi[0], -xi[1]))
-    c = s.bundle.twist
-    for xi in dirs:
-        tau = (-xi[1], xi[0])
-        groups_per_factor = []
-        for f in s.factors:
-            groups: dict[int, list] = {}
-            for w in f.weights:
-                groups.setdefault(_dot(w, xi), []).append(w)
-            groups_per_factor.append(groups)
-        for combo in itertools.product(*(g.items() for g in groups_per_factor)):
-            level = sum(
-                d * v for d, (v, _) in zip(s.bundle.degrees, combo)
-            ) + _dot(c, xi)
-            if level != 0:
-                continue
-            lo = sum(
-                d * min(_dot(w, tau) for w in ws)
-                for d, (_, ws) in zip(s.bundle.degrees, combo)
-            ) + _dot(c, tau)
-            hi = sum(
-                d * max(_dot(w, tau) for w in ws)
-                for d, (_, ws) in zip(s.bundle.degrees, combo)
-            ) + _dot(c, tau)
-            if lo <= 0 <= hi:
-                return True
-    return False
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     stability: str  # regular | boundary | unstable_everywhere | trivial_action
@@ -295,16 +233,10 @@ def classify_stability(s: Scenario) -> StabilityReport:
 
     if not img.contains_zero():
         return StabilityReport(UNSTABLE, img, OUTSIDE)
-    action_trivial = all(len(set(f.weights)) == 1 for f in s.factors)
-    if action_trivial:
+    if all(len(set(f.weights)) == 1 for f in s.factors):
         return StabilityReport(TRIVIAL, img, ON_WALL)
-    stab = generic_stabilizer(s)
-    if not stab.finite:
-        return StabilityReport(BOUNDARY, img, ON_WALL)
-    critical = s.zero_weight in fixed_point_images(s)
-    if not critical and s.group.dim == 2:
-        critical = _zero_is_critical_rank2(s)
-    if critical or not img.zero_interior():
+    lat = s.column_lattice
+    if lat.stabilizer is None or lat.on_wall(lat.cut(s.ray)):
         return StabilityReport(BOUNDARY, img, ON_WALL)
     return StabilityReport(REGULAR, img, INSIDE)
 
@@ -318,8 +250,9 @@ class StabilizerData:
     """Generic stabilizer of the action, as far as the torus data sees it.
 
     Its character group is Z^r modulo the lattice spanned by the
-    coordinate-weight differences of the torus weights.  ``lattice`` is a
-    lower-triangular basis of that lattice: column i is zero above
+    coordinate-weight differences of the torus weights.  ``lattice`` is the
+    weight block of the column lattice's echelon basis, a lower-triangular
+    basis of the difference lattice: column i is zero above
     coordinate i and positive at it, so ``order`` is the product of the
     diagonal and every coset has one residue in the box
     0 <= x_i < lattice[i][i].  For circle powers this is the full generic
@@ -347,50 +280,15 @@ class StabilizerData:
         return not any(self.residue(vec))
 
 
-def _difference_vectors(s: Scenario):
-    for ws in s.torus_weights:
-        for a, b in itertools.combinations(ws, 2):
-            d = tuple(x - y for x, y in zip(a, b))
-            if any(d):
-                yield d
-
-
 def generic_stabilizer(s: Scenario) -> StabilizerData:
     _require_supported(s, "stabilizers")
-    lattice = _hermite(_difference_vectors(s), s.group.torus_rank)
+    lattice = s.column_lattice.stabilizer
     if lattice is None:
         return StabilizerData(finite=False, order=None)
     order = prod(col[i] for i, col in enumerate(lattice))
     # Smith invariants at rank <= 2: the gcd of all entries, then the rest
     content = gcd(*itertools.chain.from_iterable(lattice))
     return StabilizerData(True, order, (content, order // content)[: len(lattice)], lattice)
-
-
-def _hermite(vectors, rank: int) -> tuple[tuple[int, ...], ...] | None:
-    """Lower-triangular column basis of the lattice spanned by integer
-    `vectors` of length `rank`, with a positive diagonal (entries below it
-    are not reduced); None when the lattice has rank < `rank`.
-
-    Row i runs Euclid's algorithm on coordinate i over the columns left
-    by the rows before it, which all vanish above i."""
-    basis = []
-    rest = [v for v in vectors if any(v)]
-    for i in range(rank):
-        pivot, left = None, []
-        for v in rest:
-            if v[i] and pivot is None:
-                pivot = v
-                continue
-            while v[i]:
-                q = pivot[i] // v[i]
-                pivot, v = v, tuple(x - q * y for x, y in zip(pivot, v))
-            if any(v):
-                left.append(v)
-        if pivot is None:
-            return None
-        basis.append(pivot if pivot[i] > 0 else tuple(-x for x in pivot))
-        rest = left
-    return tuple(basis)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
+from .lattice import ColumnLattice, column_lattice
+
 Rational = Fraction
 
 CIRCLE_POWER = "circle_power"
@@ -165,6 +167,13 @@ class Scenario:
         )
         return WeightLayout(mins, steps, reduced, tuple(tuple(map(max, zip(*ws))) for ws in reduced))
 
+    @cached_property
+    def column_lattice(self) -> ColumnLattice:
+        """The lattice of the weight matrix A's columns, built once per
+        scenario: the fit's period and walls, the generic stabilizer and
+        the critical values all read it."""
+        return column_lattice(self.torus_weights)
+
     def weight_key(self, vec: tuple[int, ...] | int):
         """Public form of a weight: plain int when 1-dimensional."""
         if isinstance(vec, int):
@@ -189,6 +198,13 @@ class Scenario:
         whose twist is ``()``.  Level k's weights sit k * twist_vec away from
         those of the untwisted bundle."""
         return self.bundle.twist or (0,) * self.group.torus_rank
+
+    @property
+    def ray(self) -> tuple[int, ...]:
+        """b1 = (degrees, -twist): the sections of L^k of weight mu are the
+        alpha >= 0 with A alpha = k*b1 + (0, mu), for the weight matrix A of
+        ``column_lattice``."""
+        return self.bundle.degrees + tuple(-c for c in self.twist_vec)
 
     def check_dominant(self, mu) -> None:
         if self.group.is_su2 and self.weight_vec(mu)[0] < 0:
@@ -333,10 +349,11 @@ def tensor_product(a: LinearizedBundle, b: LinearizedBundle) -> LinearizedBundle
 
 
 def scenario_power(s: Scenario, p: int) -> Scenario:
-    """`s` with the bundle L^p.  The torus weights and the weight layout do
-    not depend on the bundle, so those cached on `s` carry over."""
+    """`s` with the bundle L^p.  The torus weights, the weight layout and
+    the column lattice do not depend on the bundle, so those cached on `s`
+    carry over."""
     out = Scenario(s.group, s.factors, tensor_power(s.bundle, p))
-    for name in ("torus_weights", "weight_layout"):
+    for name in ("torus_weights", "weight_layout", "column_lattice"):
         if name in s.__dict__:
             out.__dict__[name] = s.__dict__[name]
     return out
@@ -371,8 +388,7 @@ def weight_of_monomial(s: Scenario, exponents, k: int | None = None):
     r = s.group.torus_rank
     total = [k * c for c in s.twist_vec]
     pos = 0
-    for j, f in enumerate(s.factors):
-        ws = f.torus_weights()
+    for j, (f, ws) in enumerate(zip(s.factors, s.torus_weights)):
         block = alpha[pos : pos + f.dim + 1]
         if sum(block) != k * s.bundle.degrees[j]:
             raise ScenarioError(

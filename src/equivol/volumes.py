@@ -11,7 +11,11 @@ ray's last crossing k0 of a wall spanned by columns of A it is a single
 quasi-polynomial (Brion-Vergne, JAMS 1997).  So on each class
 k = r (mod P), k >= k0, h is a polynomial of degree <= #columns - rank A:
 it is interpolated exactly and checked at one more sample, and a mismatch
-is a bug, never a reason to search on.
+is a bug, never a reason to search on.  The minors and the walls depend
+on the columns alone and are read from the scenario's column lattice
+(``Scenario.column_lattice``, with b1 its ``Scenario.ray``); a fit only
+scales the minors' lcm by the classes b1 leaves to each row's content and
+finds k0 from dot products with the walls' normals.
 
 The volume vol_mu(L) = limsup (n-g)!/k^(n-g) dim H^0(M, L^k)_mu is the
 largest (n-g)! * (coefficient of k^(n-g)) over the classes; growth of
@@ -24,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import factorial, gcd, lcm
+from operator import mul
 
 from . import geometry
 from .counting import section_dimensions
@@ -123,46 +127,6 @@ def g_exponent(s: Scenario, m_max: int = M_MAX) -> ExponentResult:
 # certified quasi-polynomial fitting
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix, by fraction-free (Bareiss)
-    elimination."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for i in range(n):
-        piv = i
-        while not a[piv][i]:
-            piv += 1
-            if piv == n:
-                return 0
-        if piv != i:
-            a[i], a[piv], sign = a[piv], a[i], -sign
-        top = a[i]
-        for row in a[i + 1 :]:
-            f = row[i]
-            for c in range(i + 1, n):
-                row[c] = (row[c] * top[i] - f * top[c]) // prev
-        prev = top[i]
-    return sign * prev
-
-
-def _independent_rows(rows) -> list[int]:
-    """Indices of a maximal linearly independent subset of integer rows,
-    taken greedily by fraction-free row reduction."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    keep = []
-    for i, row in enumerate(rows):
-        v = list(row)
-        for c, b in basis:
-            if v[c]:
-                v = [b[c] * x - v[c] * y for x, y in zip(v, b)]
-        piv = next((c for c, x in enumerate(v) if x), None)
-        if piv is not None:
-            basis.append((piv, v))
-            keep.append(i)
-    return keep
-
-
 def _interpolate(k_first: int, step: int, ys: list[int]) -> tuple[list[int], int]:
     """Newton's forward-difference form of samples ys[j] = p(k_first + j*step):
     the integer coefficients, constant term first and trailing zeros
@@ -188,41 +152,25 @@ def _levels(s: Scenario, mus) -> list[list[int]]:
     """For each class r mod P, the #columns - rank A + 2 levels k = r (mod P),
     step P, at which the fit samples, from a start k0 past which the counts
     at every weight of `mus` are polynomial on each class."""
+    lat = s.column_lattice
     nf = len(s.factors)
-    cols = [
-        tuple(int(i == j) for i in range(nf)) + w
-        for j, ws in enumerate(s.torus_weights)
-        for w in ws
-    ]
-    ncols = len(cols)
-    cols = list(dict.fromkeys(cols))  # a repeated column adds no basis or wall
-    keep = _independent_rows(list(zip(*cols)))
-    d = len(keep)
-
-    def cut(v):
-        return tuple(v[i] for i in keep)
-
-    cols = [cut(c) for c in cols]
-    b1 = cut(s.bundle.degrees + tuple(-c for c in s.twist_vec))
+    b1 = lat.cut(s.ray)
     b0s = []
     for mu in mus:
         nu = s.weight_vec(mu)
-        b0s += [cut((0,) * nf + w) for w in ([nu, (nu[0] + 2,)] if s.group.is_su2 else [nu])]
+        b0s += [lat.cut((0,) * nf + w) for w in ([nu, (nu[0] + 2,)] if s.group.is_su2 else [nu])]
     # a row whose entries share the factor g has solutions only for k in one
     # class mod g / gcd(g, b1_i), where it may be divided by g
-    contents = [gcd(*row) for row in zip(*cols)]
-    scaled = [tuple(x // g for x, g in zip(c, contents)) for c in cols]
-    period = lcm(*(g // gcd(g, b) for g, b in zip(contents, b1))) * lcm(
-        *(abs(_det(basis)) or 1 for basis in combinations(scaled, d))
-    )
-    # a wall is spanned by d - 1 columns; <n, b> = det(wall, b) for its
-    # cofactor normal n, so the ray crosses it at k = -<n, b0> / <n, b1>
+    period = lcm(*(g // gcd(g, b) for g, b in zip(lat.contents, b1))) * lat.minors_lcm
+    # <n, b> = det(wall, b) for a wall's normal n, so the ray crosses it at
+    # k = -<n, b0> / <n, b1>
     k0 = 0
-    for wall in combinations(cols, d - 1):
-        slope = _det(wall + (b1,))
+    for _, n in lat.walls:
+        slope = sum(map(mul, n, b1))
         for b0 in b0s if slope else ():
-            k0 = max(k0, 1 + (-_det(wall + (b0,)) // slope if any(b0) else 0))
-    return [[k0 + (r - k0) % period + j * period for j in range(ncols - d + 2)] for r in range(period)]
+            k0 = max(k0, 1 + (-sum(map(mul, n, b0)) // slope if any(b0) else 0))
+    width = sum(map(len, s.torus_weights)) - len(lat.keep) + 2
+    return [[k0 + (r - k0) % period + j * period for j in range(width)] for r in range(period)]
 
 
 def _eventually_zero(s: Scenario, mu) -> bool:

@@ -62,27 +62,27 @@ def test_image_is_weight_hull_at_small_k(corpus):
     "weights, mu, scales, zero",
     [
         # rank 1, a point: one scale, and only at a multiple
-        ([[2, 2]], 6, (3, 3), (False, False)),
-        ([[2, 2]], 5, (None, None), (False, False)),
+        ([[2, 2]], 6, (3, 3), (False,)),
+        ([[2, 2]], 5, (None, None), (False,)),
         # rank 1, an end at 0: that half-plane has beta = 0
-        ([[0, 3]], -1, (None, None), (True, False)),
-        ([[0, 3]], 2, (1, None), (True, False)),
+        ([[0, 3]], -1, (None, None), (True,)),
+        ([[0, 3]], 2, (1, None), (True,)),
         # rank 2, a point: two equalities, integral or not, of either sign
-        ([[(2, -1), (2, -1)]], (6, -3), (3, 3), (False, False)),
-        ([[(2, -1), (2, -1)]], (5, -3), (None, None), (False, False)),
-        ([[(2, -1), (2, -1)]], (-2, 1), (None, None), (False, False)),
+        ([[(2, -1), (2, -1)]], (6, -3), (3, 3), (False,)),
+        ([[(2, -1), (2, -1)]], (5, -3), (None, None), (False,)),
+        ([[(2, -1), (2, -1)]], (-2, 1), (None, None), (False,)),
         # rank 2, the origin: equalities with beta = 0
-        ([[(0, 0), (0, 0)]], (0, 0), (1, None), (True, False)),
-        ([[(0, 0), (0, 0)]], (1, 0), (None, None), (True, False)),
+        ([[(0, 0), (0, 0)]], (0, 0), (1, None), (True,)),
+        ([[(0, 0), (0, 0)]], (1, 0), (None, None), (True,)),
         # rank 2, a segment on a line through 0 (beta = 0), then off it
-        ([[(1, 1), (3, 3)]], (2, 2), (1, 2), (False, False)),
-        ([[(1, 1), (3, 3)]], (2, 3), (None, None), (False, False)),
-        ([[(1, 0), (1, 2)]], (3, 1), (3, 3), (False, False)),
-        ([[(2, 0), (2, 2)]], (3, 1), (None, None), (False, False)),
+        ([[(1, 1), (3, 3)]], (2, 2), (1, 2), (False,)),
+        ([[(1, 1), (3, 3)]], (2, 3), (None, None), (False,)),
+        ([[(1, 0), (1, 2)]], (3, 1), (3, 3), (False,)),
+        ([[(2, 0), (2, 2)]], (3, 1), (None, None), (False,)),
         # rank 2, a polygon around 0, and one with 0 on an edge
-        ([[(1, 0), (-1, 0)], [(0, 1), (0, -1)]], (3, -2), (3, None), (True, True)),
-        ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, -1), (None, None), (True, False)),
-        ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, 1), (1, None), (True, False)),
+        ([[(1, 0), (-1, 0)], [(0, 1), (0, -1)]], (3, -2), (3, None), (True,)),
+        ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, -1), (None, None), (True,)),
+        ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, 1), (1, None), (True,)),
     ],
 )
 def test_scale_range_degenerate_branches(weights, mu, scales, zero):
@@ -90,7 +90,7 @@ def test_scale_range_degenerate_branches(weights, mu, scales, zero):
     img = moment_image(s)
     vec = s.weight_vec(mu)
     assert img.scale_range(vec) == scales
-    assert (img.contains_zero(), img.zero_interior()) == zero
+    assert (img.contains_zero(),) == zero
     r_min, r_max = scales
     admitted = set() if r_min is None else set(range(r_min, (r_max or 9) + 1))
     assert {r for r in range(1, 10) if img.scaled_contains(vec, r)} == admitted

@@ -9,6 +9,7 @@ from equivol import (
     scenario_from_dict,
     scenario_power,
     scenario_to_dict,
+    su2_scenario,
     tensor_power,
     tensor_product,
     validate_scenario,
@@ -153,6 +154,9 @@ def test_twist_vec(corpus):
             assert s.twist_vec == s.bundle.twist == (0,) * s.group.dim, name
     assert circle_scenario([[1, -1]], [1], twist=3).twist_vec == (3,)
     assert circle_scenario([[(1, 0), (0, 1)]], [2], twist=(-1, 2)).twist_vec == (-1, 2)
+    # the ray b1 = (degrees, -twist) of the weight matrix's columns
+    assert circle_scenario([[(1, 0), (0, 1)], [(0, 0), (1, 1)]], [2, 3], twist=(-1, 2)).ray == (2, 3, 1, -2)
+    assert su2_scenario([[1, 1]], [2]).ray == (2, 0)
 
 
 def test_torus_weights(p1p1_diag, su2_p3):
@@ -176,9 +180,13 @@ def test_weight_layout(p1p1_diag, su2_p3):
     # built once: the packed-count cache holds one key per scenario, and
     # the tensor powers of a scenario share it
     assert su2_p3.weight_layout is su2_p3.weight_layout
+    # so is the column lattice, which the fit, the generic stabilizer and
+    # the stability class read
+    assert p1p1_diag.column_lattice.stabilizer == ((2, 0), (0, 2))
     cube = scenario_power(p1p1_diag, 3)
     assert cube.weight_layout is p1p1_diag.weight_layout
     assert cube.torus_weights is p1p1_diag.torus_weights
+    assert scenario_power(p1p1_diag, 3).column_lattice is p1p1_diag.column_lattice
     assert cube.bundle.degrees == (3, 3)
 
 

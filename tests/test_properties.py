@@ -6,8 +6,10 @@ volume against invariant counts on random regular P^2 scenarios and
 against the fitted volume on random regular P^1..P^5 scenarios; moment
 image queries against a point-in-hull test in Fractions; generic
 stabilizers against the gcd of the maximal minors of the weight
-differences; and the homogeneity and exponent laws on random rank-1
-scenarios.
+differences and of the weight matrix's columns, whose kept rows are
+checked against a rank in Fractions; stability classes against a search
+over coordinate supports; and the homogeneity and exponent laws on random
+rank-1 scenarios.
 
 Examples are derandomized; their number is bounded for run time only.
 """
@@ -321,6 +323,144 @@ def test_generic_stabilizer_matches_maximal_minors(s):
     residues = {stab.residue(v) for v in product(range(order), repeat=rank)}
     assert len(residues) == order
     assert all(stab.residue(r) == r for r in residues)
+
+
+def _weight_matrix_rows(s):
+    """The rows of A: one column (e_j, w) per coordinate of factor j."""
+    nf = len(s.factors)
+    return list(zip(*(tuple(int(i == j) for i in range(nf)) + w for j, ws in enumerate(s.torus_weights) for w in ws)))
+
+
+def _fraction_rank(rows) -> int:
+    """Rank of an integer matrix, by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant of a square integer matrix, by Gaussian elimination in
+    Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    out = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            a[c], a[piv], out = a[piv], a[c], -out
+        out *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out
+
+
+@SETTINGS
+@example(su2_scenario([[0, 0]], [1]))  # every block Sym^0: the action is trivial
+@example(circle_scenario([[(1, 2), (3, 6)], [(0, 0), (-1, -2)]], [1, 1]))  # differences on one line
+@given(
+    st.one_of(
+        rank1_scenarios(),
+        rank2_scenarios(),
+        su2_scenarios().filter(lambda s: len(s.factors) == 1),
+    )
+)
+def test_column_lattice_minors_give_the_stabilizer_order(s):
+    # the kept rows of A are those independent of the rows above them, and
+    # when they are all of A, the gcd of its maximal minors is |K|: the
+    # index of the column lattice, Z^(nf+r) modulo the columns being Z^r
+    # modulo the difference lattice
+    rows = _weight_matrix_rows(s)
+    keep = s.column_lattice.keep
+    for i in range(len(rows)):
+        assert (_fraction_rank(rows[: i + 1]) > _fraction_rank(rows[:i])) == (i in keep), i
+    stab = generic_stabilizer(s)
+    assert stab.finite == (len(keep) == len(rows))
+    if stab.finite:
+        cols = list(zip(*rows))
+        minors = [_fraction_det(m) for m in combinations(cols, len(rows))]
+        assert gcd(*map(int, minors)) == stab.order
+
+
+@st.composite
+def stratum_scenarios(draw):
+    """Rank-1 and rank-2 scenarios with 1 to 3 factors, and a twist that
+    puts 0 at most one step from a lattice point of the image, so that
+    fixed points, edges and critical segments through 0 are frequent."""
+    rank = draw(st.integers(1, 2))
+    weight = st.tuples(*[st.integers(-2, 2)] * rank)
+    # a rank-2 image has interior points only with 3 coordinates or more
+    factors = draw(st.lists(st.lists(weight, min_size=rank + 1, max_size=3), min_size=1, max_size=3))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=len(factors), max_size=len(factors)))
+    # -twist is a sum of d_j weights of each factor j, then moved by one step
+    twist = draw(st.tuples(*[st.integers(-1, 1)] * rank))
+    for ws, d in zip(factors, degrees):
+        for w in draw(st.lists(st.sampled_from(ws), min_size=d, max_size=d)):
+            twist = tuple(c - x for c, x in zip(twist, w))
+    return circle_scenario(factors, degrees, twist=twist, g=rank)
+
+
+def _spans_less(diffs, rank) -> bool:
+    if rank == 1:
+        return not any(d[0] for d in diffs)
+    return not any(_cross(a, b) for a, b in combinations(diffs, 2))
+
+
+def _zero_is_critical(s) -> bool:
+    """Whether 0 is the moment image of a point whose coordinate supports
+    S_j (one nonempty subset of each factor's weights) have weight
+    differences spanning less than R^r.  The images of those points fill
+    the weighted Minkowski sum of the hulls of the S_j plus the twist; a
+    factor with one weight left moves into the twist."""
+    rank = s.group.torus_rank
+    choices = [
+        [c for n in range(1, len(set(ws)) + 1) for c in combinations(sorted(set(ws)), n)]
+        for ws in s.torus_weights
+    ]
+    for supports in product(*choices):
+        diffs = [tuple(x - y for x, y in zip(a, b)) for S in supports for a, b in combinations(S, 2)]
+        if not _spans_less(diffs, rank):
+            continue
+        twist = list(s.twist_vec)
+        rest = []
+        for S, d in zip(supports, s.bundle.degrees):
+            if len(S) == 1:
+                twist = [c + d * x for c, x in zip(twist, S[0])]
+            else:
+                rest.append((S, d))
+        if not rest:
+            if not any(twist):
+                return True
+            continue
+        restricted = circle_scenario([S for S, _ in rest], [d for _, d in rest], twist=tuple(twist), g=rank)
+        if moment_image(restricted).contains_zero():
+            return True
+    return False
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(stratum_scenarios())
+def test_stability_class_matches_stratum_reference(s):
+    if not moment_image(s).contains_zero():
+        expect = ("unstable_everywhere", "outside")
+    elif all(len(set(ws)) == 1 for ws in s.torus_weights):
+        expect = ("trivial_action", "on_vertex_or_wall")
+    elif _zero_is_critical(s):
+        expect = ("boundary", "on_vertex_or_wall")
+    else:
+        expect = ("regular", "inside")
+    rep = classify_stability(s)
+    assert (rep.stability, rep.zero_position) == expect
 
 
 # --- homogeneity and exponent laws ----------------------------------------------

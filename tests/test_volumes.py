@@ -215,6 +215,43 @@ def test_volume_pins(weights, degrees, twist, mu, vol):
     assert equivariant_volume(s, mu).value == vol
 
 
+FOUND_RANK2 = circle_scenario([[(1, 0), (1, 2)], [(-2, -1), (1, -2), (-1, 2)]], [2, 2])
+
+# (P, k0) of a fit at the zero weight alone, and at mu = 2 (rank 1) or
+# mu = (-1, 0) (rank 2) together with the zero weight
+FIT_PINS = {
+    "p1_hyperplane": ((2, 1), (2, 3)),
+    "p1_square": ((2, 1), (2, 2)),
+    "p2_circle": ((2, 1), (2, 3)),
+    "p3_semistable": ((1, 1), (1, 3)),
+    "p3_last_coordinate": ((1, 1), (1, 3)),
+    "p1_unstable": ((1, 1), (1, 3)),
+    "p2_trivial": ((1, 1), (1, 1)),
+    "p3_balanced": ((2, 1), (2, 3)),
+    "p2_skew": ((6, 1), (6, 3)),
+    "p1p1_diag": ((4, 1), (4, 2)),
+    "p2p1_product": ((2, 1), (2, 2)),
+    "su2_p3": ((2, 3), (2, 5)),
+    "su2_p1": ((2, 3), (2, 5)),
+    "su2_p5": ((2, 3), (2, 5)),
+    "su2_sym5": ((120, 3), (120, 5)),
+    "found_rank2": ((60, 1), (60, 1)),
+}
+
+
+def test_fit_period_and_start(corpus):
+    # P is the number of classes, and k0 the least level a class starts at
+    docs = dict(corpus, su2_sym5=su2_scenario([[5]], [1]), found_rank2=FOUND_RANK2)
+    assert docs.keys() == FIT_PINS.keys()
+    for name, s in docs.items():
+        mu = 2 if s.group.torus_rank == 1 else (-1, 0)
+        got = []
+        for mus in ((s.zero_weight,), (mu, s.zero_weight)):
+            levels = volumes._levels(s, mus)
+            got.append((len(levels), min(row[0] for row in levels)))
+        assert tuple(got) == FIT_PINS[name], name
+
+
 def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
     # every class carries one sample beyond those it is interpolated from;
     # shifting the first sample at mu = 1 by one must be caught, not absorbed
