@@ -22,7 +22,7 @@ CORPUS_NAMES = (
     "p1_unstable",        # P^1, weights (1,2): unstable everywhere
     "p2_trivial",         # trivial action: vol_0 infinite
     "p3_balanced",        # P^3, weights (-1,-1,1,1): regular, vol_mu = 1/2
-    "p2_skew",            # P^2, weights (-1,1,2): refinement period 6, vol_mu = 1/6
+    "p2_skew",            # P^2, weights (-1,1,2): period 6, vol_mu = 1/6
     "p1p1_diag",          # rank-2 torus on P^1 x P^1, diagonal ample bundle
     "p2p1_product",       # product stress case, vol at even mu = 1
     "su2_p3",             # SU(2) on P^3 = P(V + V): vol_mu = (mu+1)^2

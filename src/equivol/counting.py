@@ -64,9 +64,10 @@ from typing import NamedTuple
 
 from .model import Scenario, ScenarioError, WeightLayout
 
-# Cap on packed DP cells (degree x packed slots x coordinates, per factor)
-# and on the packed slots of the product, read at call time; for a
-# deliberately huge run, assign equivol.counting.CELL_BUDGET first.
+# Cap on packed DP cells (degree x packed slots x coordinates, per factor),
+# on the packed slots of the product and on the sample levels of a volume
+# fit, read at call time; for a deliberately huge run, assign
+# equivol.counting.CELL_BUDGET first.
 CELL_BUDGET = 60_000_000
 
 # Cap on the basis monomials brute_force_oracle enumerates.
@@ -77,9 +78,17 @@ class EngineLimit(RuntimeError):
     """A configurable safety bound was exceeded; raise it and retry."""
 
 
+def _level_degrees(s: Scenario, k: int) -> tuple[int, ...]:
+    """The factor degrees k * d_j of L^k; every reader of a level checks
+    its k here."""
+    if k < 0:
+        raise ScenarioError("tensor power must be >= 0")
+    return tuple([k * d for d in s.bundle.degrees])
+
+
 def total_dimension(s: Scenario, k: int) -> int:
     """dim H^0(M, L^k) = prod_j C(n_j + k d_j, n_j)."""
-    return prod(comb(f.dim + k * d, f.dim) for f, d in zip(s.factors, s.bundle.degrees))
+    return prod(comb(f.dim + m, f.dim) for f, m in zip(s.factors, _level_degrees(s, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +257,11 @@ def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     vec = s.weight_vec(mu)
     dim = s.dim_irrep(mu)
     layout = s.weight_layout
-    degrees = s.bundle.degrees
     twist = s.twist_vec
     above = (vec[0] + 2,) if s.group.is_su2 else None
     out = []
     for k in ks:
-        if k < 0:
-            raise ScenarioError("tensor power must be >= 0")
-        p = _packed(layout, tuple([k * d for d in degrees]))
+        p = _packed(layout, _level_degrees(s, k))
         n = _weight_count(p, vec, k, twist)
         if above:
             n -= _weight_count(p, above, k, twist)
@@ -276,7 +282,7 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    p = _packed(s.weight_layout, tuple([k * d for d in s.bundle.degrees]))
+    p = _packed(s.weight_layout, _level_degrees(s, k))
     return dict(zip(*_multiplicities(p, k, s.twist_vec, s.group.is_su2)))
 
 
@@ -305,7 +311,7 @@ def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     if k_max < 0:
         return IsotypicTable(s, k_max, entries)
     twist, su2 = s.twist_vec, s.group.is_su2
-    ladder = [tuple([k * d for d in s.bundle.degrees]) for k in range(k_max + 1)]
+    ladder = [_level_degrees(s, k) for k in range(k_max + 1)]
     for k, p in enumerate(_ladder(s.weight_layout, ladder)):
         mus, ns = _multiplicities(p, k, twist, su2)
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers

@@ -57,16 +57,6 @@ class GroupSpec:
     kind: str
     dim: int
 
-    @staticmethod
-    def circles(g: int) -> "GroupSpec":
-        if g < 1:
-            raise ScenarioError("circle power rank must be >= 1")
-        return GroupSpec(CIRCLE_POWER, g)
-
-    @staticmethod
-    def su2() -> "GroupSpec":
-        return GroupSpec(SU2, 3)
-
     @property
     def torus_rank(self) -> int:
         return 1 if self.kind == SU2 else self.dim
@@ -237,99 +227,37 @@ class Scenario:
 
 
 def validate_scenario(s: Scenario) -> Scenario:
-    """Normalize and validate; returns the scenario or raises ScenarioError.
-
-    Idempotent: validating a validated scenario returns an equal value.
-    """
-    group = s.group
-    if group.kind not in (CIRCLE_POWER, SU2):
-        raise ScenarioError(f"unknown group kind {group.kind!r}")
-    if group.kind == SU2 and group.dim != 3:
-        raise ScenarioError("su2 group has dim 3")
-    if group.kind == CIRCLE_POWER and group.dim < 1:
-        raise ScenarioError("circle power rank must be >= 1")
-    if not s.factors:
-        raise ScenarioError("scenario needs at least one projective factor")
-
-    factors = []
-    for j, f in enumerate(s.factors):
-        if f.dim < 1:
-            raise ScenarioError(f"factor {j}: dimension must be >= 1")
-        if group.is_su2:
-            if f.sym_powers is None or f.weights is not None:
-                raise ScenarioError(f"factor {j}: su2 factors take sym_powers, not weight vectors")
-            sym = tuple(int(m) for m in f.sym_powers)
-            if any(m < 0 for m in sym):
-                raise ScenarioError(f"factor {j}: symmetric powers must be >= 0")
-            if sum(m + 1 for m in sym) != f.dim + 1:
-                raise ScenarioError(
-                    f"factor {j}: sym_powers account for ambient dimension "
-                    f"{sum(m + 1 for m in sym)}, expected {f.dim + 1}"
-                )
-            factors.append(ProjectiveFactor(dim=f.dim, sym_powers=sym))
-        else:
-            if f.weights is None or f.sym_powers is not None:
-                raise ScenarioError(f"factor {j}: circle factors take weight vectors")
-            ws = tuple(tuple(int(x) for x in w) for w in f.weights)
-            if len(ws) != f.dim + 1:
-                raise ScenarioError(
-                    f"factor {j}: got {len(ws)} coordinate weights, expected {f.dim + 1}"
-                )
-            for w in ws:
-                if len(w) != group.dim:
-                    raise ScenarioError(
-                        f"factor {j}: weight vector {w} has length {len(w)}, expected {group.dim}"
-                    )
-            factors.append(ProjectiveFactor(dim=f.dim, weights=ws))
-
-    degrees = tuple(int(d) for d in s.bundle.degrees)
-    if len(degrees) != len(factors):
-        raise ScenarioError(f"bundle has {len(degrees)} degrees for {len(factors)} factors")
-    if any(d < 1 for d in degrees):
-        raise ScenarioError("multidegrees must be >= 1 (ample)")
-    twist = tuple(int(c) for c in s.bundle.twist)
-    if group.is_su2:
-        if any(twist):
-            raise ScenarioError("su2 admits no nontrivial character twist")
-        twist = ()
-    else:
-        if not twist:
-            twist = (0,) * group.dim
-        if len(twist) != group.dim:
-            raise ScenarioError(f"twist {twist} must have length {group.dim}")
-
-    return Scenario(group, tuple(factors), LinearizedBundle(degrees, twist))
+    """Validate a scenario built in code through its document form: returns
+    an equal, normalized scenario or raises ScenarioError naming the field
+    at fault.  Idempotent."""
+    return scenario_from_dict(scenario_to_dict(s))
 
 
 def circle_scenario(weights_per_factor, degrees, twist=None, g: int | None = None) -> Scenario:
-    """Build and validate a circle-power scenario.
+    """Build and validate a circle-power scenario through its document form.
 
     ``weights_per_factor`` is a list of per-factor coordinate weight lists;
-    scalar weights are accepted for g=1.
+    weights, degrees and twist are integers, and a scalar weight or twist
+    stands for a vector of length 1.  ``g`` defaults to the length of the
+    first weight.
     """
-    norm = []
+    factors = []
     for ws in weights_per_factor:
-        norm.append(tuple((int(w),) if isinstance(w, int) else tuple(int(x) for x in w) for w in ws))
-    if g is None:
-        g = len(norm[0][0])
-    factors = tuple(ProjectiveFactor(dim=len(ws) - 1, weights=ws) for ws in norm)
-    if twist is None:
-        twist = (0,) * g
-    elif isinstance(twist, int):
-        twist = (twist,)
-    return validate_scenario(
-        Scenario(GroupSpec.circles(g), factors, LinearizedBundle(tuple(degrees), tuple(twist)))
-    )
+        ws = [w if isinstance(w, int) else list(w) for w in ws]
+        factors.append({"dim": len(ws) - 1, "weights": ws})
+    if g is None:  # with no first weight the document is rejected for any g
+        ws = factors[0]["weights"] if factors else []
+        g = len(ws[0]) if ws and not isinstance(ws[0], int) else 1
+    bundle = {"degrees": list(degrees)}
+    if twist is not None:
+        bundle["twist"] = twist if isinstance(twist, int) else list(twist)
+    return scenario_from_dict({"group": CIRCLE_POWER, "g": g, "factors": factors, "bundle": bundle})
 
 
 def su2_scenario(sym_powers_per_factor, degrees) -> Scenario:
-    factors = tuple(
-        ProjectiveFactor(dim=sum(m + 1 for m in sym) - 1, sym_powers=tuple(sym))
-        for sym in sym_powers_per_factor
-    )
-    return validate_scenario(
-        Scenario(GroupSpec.su2(), factors, LinearizedBundle(tuple(degrees), ()))
-    )
+    """Build and validate an SU(2) scenario through its document form."""
+    factors = [{"dim": sum(sym) + len(sym) - 1, "sym_powers": list(sym)} for sym in sym_powers_per_factor]
+    return scenario_from_dict({"group": SU2, "g": 3, "factors": factors, "bundle": {"degrees": list(degrees)}})
 
 
 def tensor_power(b: LinearizedBundle, p: int) -> LinearizedBundle:
@@ -402,14 +330,16 @@ def weight_of_monomial(s: Scenario, exponents, k: int | None = None):
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Serialize to the documented scenario-document structure."""
+    """Serialize to the documented scenario-document structure; a weight
+    vector of length 1 is written as its scalar."""
     factors = []
     for f in s.factors:
+        rf: dict = {"dim": f.dim}
         if f.weights is not None:
-            ws = [list(w) if len(w) > 1 else w[0] for w in f.weights]
-            factors.append({"dim": f.dim, "weights": ws})
-        else:
-            factors.append({"dim": f.dim, "sym_powers": list(f.sym_powers)})
+            rf["weights"] = [w[0] if len(w) == 1 else list(w) for w in f.weights]
+        if f.sym_powers is not None:
+            rf["sym_powers"] = list(f.sym_powers)
+        factors.append(rf)
     bundle: dict = {"degrees": list(s.bundle.degrees)}
     if s.bundle.twist:
         bundle["twist"] = list(s.bundle.twist)
@@ -432,19 +362,27 @@ def _int_list_field(value, field: str) -> tuple[int, ...]:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Parse the scenario-document structure; errors name the offending field."""
+    """Parse and validate a scenario document in one pass.
+
+    Every structural check of a scenario lives here, and each error names
+    the field at fault.  Values are JSON integers (a bool is not one).  A
+    circle factor reads `weights` and an su2 factor reads `sym_powers`; an
+    su2 factor that carries `weights` is rejected, and a circle factor
+    ignores `sym_powers` like any other unknown key.
+    """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
     for field in ("group", "g", "factors", "bundle"):
         if field not in doc:
             raise ScenarioError(f"scenario document missing field `{field}`")
-    kind = doc["group"]
+    kind, g = doc["group"], doc["g"]
     if kind not in (CIRCLE_POWER, SU2):
         raise ScenarioError(f"field `group` must be '{CIRCLE_POWER}' or '{SU2}', got {kind!r}")
-    g = doc["g"]
     if not _is_int(g) or g < 1:
         raise ScenarioError("field `g` must be a positive integer")
-    group = GroupSpec(kind, g)
+    su2 = kind == SU2
+    if su2 and g != 3:
+        raise ScenarioError(f"field `g` must be 3 for su2, got {g}")
 
     raw_factors = doc["factors"]
     if not isinstance(raw_factors, list) or not raw_factors:
@@ -454,27 +392,51 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not isinstance(rf, dict) or "dim" not in rf:
             raise ScenarioError(f"factors[{j}] missing field `dim`")
         dim = rf["dim"]
-        if not _is_int(dim):
-            raise ScenarioError(f"field `factors[{j}].dim` must be an integer, got {dim!r}")
-        if "weights" in rf:
-            raw = rf["weights"]
-            if not isinstance(raw, list) or not all(_is_int(w) or _is_int_list(w) for w in raw):
+        if not _is_int(dim) or dim < 1:
+            raise ScenarioError(f"field `factors[{j}].dim` must be a positive integer, got {dim!r}")
+        if su2 and "weights" in rf:
+            raise ScenarioError(f"field `factors[{j}].weights` is not allowed: su2 factors take `sym_powers`")
+        name = "sym_powers" if su2 else "weights"
+        if name not in rf:
+            raise ScenarioError(f"factors[{j}] missing field `{name}`")
+        field, raw = f"factors[{j}].{name}", rf[name]
+        if su2:
+            sym = _int_list_field(raw, field)
+            if min(sym, default=0) < 0 or sum(sym) + len(sym) != dim + 1:
                 raise ScenarioError(
-                    f"field `factors[{j}].weights` must be a list of integers "
-                    f"or of integer lists, got {raw!r}"
+                    f"field `{field}` must hold powers m >= 0 with sum(m + 1) = dim + 1 = {dim + 1}, "
+                    f"got {list(sym)}"
                 )
-            ws = tuple((w,) if _is_int(w) else tuple(w) for w in raw)
-            factors.append(ProjectiveFactor(dim=dim, weights=ws))
-        elif "sym_powers" in rf:
-            sym = _int_list_field(rf["sym_powers"], f"factors[{j}].sym_powers")
             factors.append(ProjectiveFactor(dim=dim, sym_powers=sym))
-        else:
-            raise ScenarioError(f"factors[{j}] needs field `weights` or `sym_powers`")
+            continue
+        if not isinstance(raw, list) or not all(_is_int(w) or _is_int_list(w) for w in raw):
+            raise ScenarioError(
+                f"field `{field}` must be a list of integers or of integer lists, got {raw!r}"
+            )
+        if len(raw) != dim + 1:
+            raise ScenarioError(f"field `{field}` has {len(raw)} coordinate weights, expected {dim + 1}")
+        ws = tuple((w,) if _is_int(w) else tuple(w) for w in raw)
+        if any(len(w) != g for w in ws):
+            raise ScenarioError(f"field `{field}` must hold weight vectors of length {g}, got {raw!r}")
+        factors.append(ProjectiveFactor(dim=dim, weights=ws))
 
     raw_bundle = doc["bundle"]
     if not isinstance(raw_bundle, dict) or "degrees" not in raw_bundle:
         raise ScenarioError("field `bundle` missing field `degrees`")
     degrees = _int_list_field(raw_bundle["degrees"], "bundle.degrees")
+    if len(degrees) != len(factors) or min(degrees) < 1:
+        raise ScenarioError(
+            f"field `bundle.degrees` must hold one degree >= 1 (ample) per factor, "
+            f"got {list(degrees)} for {len(factors)} factors"
+        )
     twist = raw_bundle.get("twist", [])
     twist = (twist,) if _is_int(twist) else _int_list_field(twist, "bundle.twist")
-    return validate_scenario(Scenario(group, tuple(factors), LinearizedBundle(degrees, twist)))
+    if su2:
+        if any(twist):
+            raise ScenarioError(f"field `bundle.twist` must be zero for su2, got {list(twist)}")
+        twist = ()
+    else:
+        twist = twist or (0,) * g
+        if len(twist) != g:
+            raise ScenarioError(f"field `bundle.twist` must have length {g}, got {list(twist)}")
+    return Scenario(GroupSpec(kind, g), tuple(factors), LinearizedBundle(degrees, twist))

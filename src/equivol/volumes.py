@@ -31,8 +31,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
 
-from . import geometry
-from .counting import section_dimensions
+from . import counting, geometry
+from .counting import EngineLimit, section_dimensions
 from .model import Rational, Scenario, ScenarioError
 
 EXACT = "exact"
@@ -151,17 +151,25 @@ def _interpolate(k_first: int, step: int, ys: list[int]) -> tuple[list[int], int
 def _levels(s: Scenario, mus) -> list[list[int]]:
     """For each class r mod P, the #columns - rank A + 2 levels k = r (mod P),
     step P, at which the fit samples, from a start k0 past which the counts
-    at every weight of `mus` are polynomial on each class."""
+    at every weight of `mus` are polynomial on each class.
+
+    Raises EngineLimit before any level is built when the P * width levels
+    exceed counting.CELL_BUDGET: the top level is at least (width - 1) * P
+    and every factor has two coordinates or more, so the weight DP of such
+    a fit would exceed the same budget."""
     lat = s.column_lattice
     nf = len(s.factors)
     b1 = lat.cut(s.ray)
+    # a row whose entries share the factor g has solutions only for k in one
+    # class mod g / gcd(g, b1_i), where it may be divided by g
+    period = lcm(*(g // gcd(g, b) for g, b in zip(lat.contents, b1))) * lat.minors_lcm
+    width = sum(map(len, s.torus_weights)) - len(lat.keep) + 2
+    if period * width > counting.CELL_BUDGET:
+        raise EngineLimit(f"fit needs {period * width} sample levels > budget {counting.CELL_BUDGET}")
     b0s = []
     for mu in mus:
         nu = s.weight_vec(mu)
         b0s += [lat.cut((0,) * nf + w) for w in ([nu, (nu[0] + 2,)] if s.group.is_su2 else [nu])]
-    # a row whose entries share the factor g has solutions only for k in one
-    # class mod g / gcd(g, b1_i), where it may be divided by g
-    period = lcm(*(g // gcd(g, b) for g, b in zip(lat.contents, b1))) * lat.minors_lcm
     # <n, b> = det(wall, b) for a wall's normal n, so the ray crosses it at
     # k = -<n, b0> / <n, b1>
     k0 = 0
@@ -169,7 +177,6 @@ def _levels(s: Scenario, mus) -> list[list[int]]:
         slope = sum(map(mul, n, b1))
         for b0 in b0s if slope else ():
             k0 = max(k0, 1 + (-sum(map(mul, n, b0)) // slope if any(b0) else 0))
-    width = sum(map(len, s.torus_weights)) - len(lat.keep) + 2
     return [[k0 + (r - k0) % period + j * period for j in range(width)] for r in range(period)]
 
 

@@ -187,6 +187,7 @@ def test_mu_required(capsys):
         (["volume", "--scenario", P1, "--mu-range", "3..1"], "empty range '3..1'"),
         (["volume", "--scenario", P1, "--mu-range", "1-3"], "cannot parse range '1-3'"),
         (["multiplicity", "--scenario", P2, "--k", "1"], "multiplicity needs --mu or --all-mu"),
+        (["multiplicity", "--scenario", P2, "--k", "-1", "--all-mu"], "tensor power must be >= 0"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
@@ -250,6 +251,27 @@ def test_engine_limit_is_input_error(tmp_path, capsys):
     assert_one_error_line(code, out, err, "need 10000200001 slots > budget 60000000")
 
 
+# a rank-2 fit of period P = 44,767,800 and 6 samples per class
+LARGE_PERIOD = {
+    "group": "circle_power",
+    "g": 2,
+    "factors": [
+        {"dim": 2, "weights": [[-1, 3], [0, 0], [-2, 0]]},
+        {"dim": 2, "weights": [[3, -2], [1, 2], [3, 1]]},
+        {"dim": 2, "weights": [[-3, -2], [-2, 2], [3, -3]]},
+    ],
+    "bundle": {"degrees": [2, 1, 3], "twist": [-2, 0]},
+}
+
+
+def test_fit_over_budget_is_input_error(tmp_path, capsys):
+    # the fit's sample levels are counted before any of them is built
+    doc = tmp_path / "large_period.json"
+    doc.write_text(json.dumps(LARGE_PERIOD))
+    code, out, err = run(capsys, "volume", "--scenario", str(doc), "--mu", "0,0")
+    assert_one_error_line(code, out, err, "fit needs 268606800 sample levels > budget 60000000")
+
+
 # documents that each give one field a value of the wrong JSON type
 BASE = {"group": "circle_power", "g": 1, "factors": [{"dim": 2, "weights": [1, 0, -1]}],
         "bundle": {"degrees": [1]}}
@@ -278,6 +300,19 @@ def _with(base, path, value):
         (_with(BASE, ("bundle", "degrees"), [True]), "bundle.degrees"),
         (_with(SU2_BASE, ("factors", 0, "sym_powers"), "3"), "factors[0].sym_powers"),
         (_with(BASE, ("bundle", "twist"), "1"), "bundle.twist"),
+        # well-typed values that no scenario takes
+        (_with(BASE, ("bundle", "degrees"), [0]), "bundle.degrees"),
+        (_with(BASE, ("bundle", "degrees"), [1, 1]), "bundle.degrees"),
+        (_with(BASE, ("factors", 0, "dim"), 0), "factors[0].dim"),
+        (_with(BASE, ("factors", 0, "weights"), [1, -1]), "factors[0].weights"),
+        (_with(BASE, ("factors", 0, "weights"), [[1, 0], [0, 1], [0, 0]]), "factors[0].weights"),
+        (_with(SU2_BASE, ("g",), 2), "g"),
+        (_with(SU2_BASE, ("factors", 0, "sym_powers"), [1]), "factors[0].sym_powers"),
+        (_with(SU2_BASE, ("bundle", "twist"), [1]), "bundle.twist"),
+        (_with(BASE, ("bundle", "twist"), [0, 0]), "bundle.twist"),
+        # a factor carrying the other group kind's field
+        (_with(SU2_BASE, ("factors", 0, "weights"), [3, 1, -1, -3]), "factors[0].weights"),
+        (_with(BASE, ("factors", 0), {"dim": 2, "sym_powers": [2]}), "weights"),
     ],
 )
 def test_mistyped_field_is_input_error(tmp_path, capsys, doc, field):

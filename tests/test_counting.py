@@ -295,9 +295,14 @@ def test_section_dimensions_pins(su2_p3, p2_circle):
     assert section_dimensions(p2_circle, 0, []) == []
 
 
-def test_section_dimensions_rejects_bad_input(su2_p3, p1p1_diag):
+def test_section_dimensions_rejects_bad_input(su2_p3, p1p1_diag, p2_circle):
     with pytest.raises(ScenarioError, match="tensor power"):
         section_dimensions(su2_p3, 1, [2, -1])
+    # the level readers share the check of k
+    for read in (full_weight_distribution, brute_force_oracle):
+        for s in (su2_p3, p2_circle):
+            with pytest.raises(ScenarioError, match="tensor power must be >= 0"):
+                read(s, -1)
     with pytest.raises(ScenarioError, match="highest weights"):
         section_dimensions(su2_p3, -1, [2])
     with pytest.raises(ScenarioError, match="length 2"):

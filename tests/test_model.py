@@ -1,5 +1,7 @@
 """Core model: validation, bundle algebra, monomial weights."""
 
+import re
+
 import pytest
 
 from equivol import (
@@ -34,7 +36,7 @@ def test_dimension_mismatch_rejected():
     from equivol import GroupSpec, ProjectiveFactor, Scenario
 
     bad = Scenario(
-        GroupSpec.circles(1),
+        GroupSpec("circle_power", 1),
         (ProjectiveFactor(dim=1, weights=((1,), (-1,), (0,))),),  # 3 weights on P^1
         LinearizedBundle((1,), (0,)),
     )
@@ -46,7 +48,7 @@ def test_su2_with_circle_weights_rejected():
     from equivol import GroupSpec, ProjectiveFactor, Scenario
 
     bad = Scenario(
-        GroupSpec.su2(),
+        GroupSpec("su2", 3),
         (ProjectiveFactor(dim=1, weights=((1,), (-1,))),),
         LinearizedBundle((1,), ()),
     )
@@ -59,11 +61,26 @@ def test_nonpositive_degree_rejected():
         circle_scenario([[1, -1]], [0])
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: circle_scenario([], [1]), "factors"),
+        (lambda: circle_scenario([[]], [1]), "factors[0].dim"),
+        (lambda: circle_scenario([[1, -1]], [0]), "bundle.degrees"),
+        (lambda: circle_scenario([[1, -1]], [1], twist=(0, 0)), "bundle.twist"),
+        (lambda: su2_scenario([[1, 1]], [1, 1]), "bundle.degrees"),
+    ],
+)
+def test_builders_name_the_rejected_field(build, field):
+    with pytest.raises(ScenarioError, match=f"`{re.escape(field)}`"):
+        build()
+
+
 def test_su2_block_count_mismatch_explicit():
     from equivol import GroupSpec, ProjectiveFactor, Scenario
 
     bad = Scenario(
-        GroupSpec.su2(),
+        GroupSpec("su2", 3),
         (ProjectiveFactor(dim=3, sym_powers=(1,)),),
         LinearizedBundle((1,), ()),
     )

@@ -8,8 +8,8 @@ image queries against a point-in-hull test in Fractions; generic
 stabilizers against the gcd of the maximal minors of the weight
 differences and of the weight matrix's columns, whose kept rows are
 checked against a rank in Fractions; stability classes against a search
-over coordinate supports; and the homogeneity and exponent laws on random
-rank-1 scenarios.
+over coordinate supports; the homogeneity and exponent laws on random
+rank-1 scenarios; and random scenarios read back from their document form.
 
 Examples are derandomized; their number is bounded for run time only.
 """
@@ -33,10 +33,13 @@ from equivol import (
     generic_stabilizer,
     isotypic_table,
     moment_image,
+    scenario_from_dict,
     scenario_power,
+    scenario_to_dict,
     section_dimension,
     section_dimensions,
     su2_scenario,
+    validate_scenario,
 )
 from equivol.counting import conservation_sides
 
@@ -85,6 +88,15 @@ def su2_scenarios(draw):
     factors = draw(st.lists(blocks, min_size=1, max_size=2))
     degrees = draw(st.lists(st.integers(1, 2), min_size=len(factors), max_size=len(factors)))
     return su2_scenario(factors, degrees)
+
+
+@SETTINGS
+@given(st.one_of(rank1_scenarios(), rank2_scenarios(), su2_scenarios()))
+def test_document_form_round_trips(s):
+    # the builders validate through the document form, which must read
+    # back every scenario it writes
+    assert scenario_from_dict(scenario_to_dict(s)) == s
+    assert validate_scenario(s) == s
 
 
 def _vec(mu):

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from equivol import (
+    EngineLimit,
     circle_scenario,
+    corpus_scenario,
+    counting,
     equivariant_volume,
     g_exponent,
     g_semigroup,
@@ -250,6 +253,17 @@ def test_fit_period_and_start(corpus):
             levels = volumes._levels(s, mus)
             got.append((len(levels), min(row[0] for row in levels)))
         assert tuple(got) == FIT_PINS[name], name
+
+
+def test_fit_levels_budget_guard(monkeypatch):
+    # p2_skew reads P = 6 classes of 3 levels; the budget is read at call time
+    s = corpus_scenario("p2_skew")
+    with monkeypatch.context() as m:
+        m.setattr(counting, "CELL_BUDGET", 17)
+        with pytest.raises(EngineLimit, match=r"^fit needs 18 sample levels > budget 17$"):
+            volumes._levels(s, (0,))
+        m.setattr(counting, "CELL_BUDGET", 18)
+        assert len(volumes._levels(s, (0,))) == 6
 
 
 def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
