@@ -27,16 +27,19 @@ over factors is one big-int multiply, and the same code serves every
 torus rank.
 
 The ladder.  One recurrence up to degree M yields every row h_0..h_M, so
-:func:`isotypic_table` runs each factor's recurrence once, up to
-k_max * d_j, and reads level k from row k * d_j, with slots sized by the
-total dimension at k_max; the table caches nothing.  Point reads go
-through one level at a time: its product is cached as bytes
-(:class:`_Packed`), keyed by the scenario's weight layout (its torus
-weights reduced by their steps) and levels, and takes the last row of the
-same recurrence.  The twist never enters the cache key but is applied as
-an offset when a slot is read.  :func:`section_dimensions` reads one
-weight at many levels in one call, and :func:`full_weight_distribution`
-reads every weight of one level.
+:func:`_ladder` runs each factor's recurrence once, up to its last level,
+and reads level k from row k * d_j, with slots sized by the total
+dimension at the last level.  :func:`isotypic_table` takes every level
+0..k_max from one ladder and caches nothing.  Point reads go through one
+store: for each scenario's weight layout (its torus weights reduced by
+their steps), a dict of levels -> packed products (:class:`_Packed`).  A
+read collects the levels it needs that are not stored yet, builds them in
+one ladder sorted by k, stores them and then reads the slots; a stored
+level is never rebuilt.  The twist never enters the store but is applied
+as an offset when a slot is read.  :func:`section_dimensions` reads one
+weight at many levels in one call, :func:`_section_counts` several
+weights at the same levels (a volume fit reads mu and the zero weight),
+and :func:`full_weight_distribution` reads every weight of one level.
 
 Every DP and product is checked against one cap, CELL_BUDGET, read at call
 time; a request past it raises :class:`EngineLimit`.  For a deliberately
@@ -56,7 +59,6 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import compress, product, repeat
 from math import comb, gcd, prod
 from operator import mul, sub
@@ -139,14 +141,16 @@ def _place(h: int, src: list[int], box: list[int], strides: list[int], nbytes: i
     a time."""
     if len(box) == 1:
         return h
-    src_strides = [prod(src[i + 1 :]) for i in range(len(src))]
+    at, fr = [0], [0]  # byte offsets of every run, in the layout and in `src`
+    for i, n in enumerate(box[:-1]):
+        step, src_step = strides[i] * nbytes, prod(src[i + 1 :]) * nbytes
+        at = [a + x for a in at for x in range(0, n * step, step)]
+        fr = [f + x for f in fr for x in range(0, n * src_step, src_step)]
     run = box[-1] * nbytes
-    data = h.to_bytes((1 + sum((n - 1) * st for n, st in zip(box, src_strides))) * nbytes, _ORDER)
-    out = bytearray((1 + sum((n - 1) * st for n, st in zip(box, strides))) * nbytes)
-    for lead in product(*map(range, box[:-1])):
-        at = nbytes * sum(x * st for x, st in zip(lead, strides))
-        fr = nbytes * sum(x * st for x, st in zip(lead, src_strides))
-        out[at : at + run] = data[fr : fr + run]
+    data = h.to_bytes(fr[-1] + run, _ORDER)
+    out = bytearray(at[-1] + run)
+    for a, f in zip(at, fr):
+        out[a : a + run] = data[f : f + run]
     return int.from_bytes(out, _ORDER)
 
 
@@ -183,17 +187,24 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
         yield _Packed(lo, steps, spans, nbytes, packed.to_bytes(prod(spans) * nbytes, _ORDER))
 
 
-@lru_cache(maxsize=None)
-def _packed(layout: WeightLayout, levels: tuple[int, ...]) -> _Packed:
-    """The weight counts of :func:`_ladder` at one tuple of levels, cached.
+# The engine's one cache: per weight layout, the packed products stored by
+# tuple of levels.  A layout depends on the torus weights alone, so
+# scenarios that share them (an SU(2) block and the circle action with its
+# weights) share every level.  The budget is a guard, not an input: a level
+# stored before CELL_BUDGET changes is still served.  Clear it with
+# ``_packed.clear()``.
+_packed: dict[WeightLayout, dict[tuple[int, ...], _Packed]] = {}
 
-    The layout is a function of the torus weights alone, so scenarios that
-    share them (an SU(2) block and the circle action with its weights)
-    share every level.  The budget is a guard, not an input: a level cached
-    before CELL_BUDGET changes is still served.  ``_packed.cache_info()``
-    and ``_packed.cache_clear()`` inspect and clear the cache.
-    """
-    return next(_ladder(layout, [levels]))
+
+def _records(layout: WeightLayout, levels: list[tuple[int, ...]]) -> list[_Packed]:
+    """The packed products of `layout` at each tuple of `levels`, in order.
+    The tuples not stored yet are built in one :func:`_ladder`, sorted by k
+    (each is k * d_j), and stored first."""
+    store = _packed.setdefault(layout, {})
+    missing = sorted({lv for lv in levels if lv not in store})
+    if missing:
+        store.update(zip(missing, _ladder(layout, missing)))
+    return [store[lv] for lv in levels]
 
 
 def _slots(p: _Packed) -> tuple[int, ...]:
@@ -246,29 +257,39 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
+def _section_counts(s: Scenario, mus, ks) -> list[list[int]]:
+    """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one list
+    per weight mu of `mus`, each with one entry per level k of `ks`, in the
+    order given.
+
+    Each weight and the bundle are read once, and every level's record is
+    fetched once for all weights; a weight then costs one slot of it, two
+    for SU(2), where N(mu) is the torus count at mu minus that at mu + 2.
+    """
+    reads = []
+    for mu in mus:
+        vec = s.weight_vec(mu)
+        reads.append((vec, (vec[0] + 2,) if s.group.is_su2 else None, s.dim_irrep(mu)))
+    ks = list(ks)
+    twist = s.twist_vec
+    records = _records(s.weight_layout, [_level_degrees(s, k) for k in ks])
+    out = [[] for _ in reads]
+    for k, p in zip(ks, records):
+        for counts, (vec, above, dim) in zip(out, reads):
+            n = _weight_count(p, vec, k, twist)
+            if above:
+                n -= _weight_count(p, above, k, twist)
+                if n < 0:
+                    raise RuntimeError(f"su2 weight distribution not unimodal at mu={vec[0]}, k={k}: engine bug")
+            counts.append(n * dim)
+    return out
+
+
 def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one per
-    level k of `ks`, in the order given.
-
-    `mu` and the bundle are read once; each level then costs one slot of
-    its packed counts, two for SU(2), where N(mu) is the torus count at mu
-    minus that at mu + 2.
-    """
-    vec = s.weight_vec(mu)
-    dim = s.dim_irrep(mu)
-    layout = s.weight_layout
-    twist = s.twist_vec
-    above = (vec[0] + 2,) if s.group.is_su2 else None
-    out = []
-    for k in ks:
-        p = _packed(layout, _level_degrees(s, k))
-        n = _weight_count(p, vec, k, twist)
-        if above:
-            n -= _weight_count(p, above, k, twist)
-            if n < 0:
-                raise RuntimeError(f"su2 weight distribution not unimodal at mu={vec[0]}, k={k}: engine bug")
-        out.append(n * dim)
-    return out
+    level k of `ks`, in the order given; the levels not stored yet are
+    built in one ladder."""
+    return _section_counts(s, (mu,), ks)[0]
 
 
 def section_dimension(s: Scenario, k: int, mu) -> int:
@@ -282,7 +303,7 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    p = _packed(s.weight_layout, _level_degrees(s, k))
+    (p,) = _records(s.weight_layout, [_level_degrees(s, k)])
     return dict(zip(*_multiplicities(p, k, s.twist_vec, s.group.is_su2)))
 
 

@@ -7,7 +7,11 @@ trusted.
 """
 
 import json
+import random
 import sys
+from itertools import product
+from math import prod
+from operator import mul
 
 import pytest
 
@@ -179,10 +183,10 @@ def test_isotypic_table_matches_levels_on_corpus(corpus):
 
 
 def test_isotypic_table_leaves_packed_cache_alone(corpus):
-    counting._packed.cache_clear()
+    counting._packed.clear()
     for _, s in corpus:
         isotypic_table(s, 9)
-    assert counting._packed.cache_info().currsize == 0
+    assert counting._packed == {}
 
 
 def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
@@ -198,16 +202,52 @@ def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
 def test_packed_counts_divide_out_the_weight_step(p1_hyperplane, su2_p3):
     # weights (1, -1) move in steps of 2: level 4 spans 5 slots, not 9, and
     # the decoded counts keep the zeros between the weights
-    p = counting._packed(p1_hyperplane.weight_layout, (4,))
+    (p,) = counting._records(p1_hyperplane.weight_layout, [(4,)])
     assert (p.lo, p.steps, p.spans) == ((-4,), (2,), (5,))
     assert [section_dimension(p1_hyperplane, 2, mu) for mu in range(-2, 3)] == [1, 0, 1, 0, 1]
     assert full_weight_distribution(su2_p3, 1) == {1: 2}
     assert section_dimension(p1_hyperplane, 4, 1) == 0
     # a constant coordinate keeps step 1 and span 1
     s = circle_scenario([[(2, 5), (-2, 5)], [(0, 5), (4, 5)]], [1, 1])
-    p = counting._packed(s.weight_layout, (3, 3))
+    (p,) = counting._records(s.weight_layout, [(3, 3)])
     assert (p.lo, p.steps, p.spans) == ((-6, 30), (4, 1), (7, 1))
     assert_oracle_agrees(s, range(0, 4))
+
+
+def slotwise_place(h, src, box, strides, nbytes):
+    """Reference for counting._place: the corner `box` of `h`, laid out in
+    the box `src`, copied slot by slot into the layout with `strides`."""
+    bits = 8 * nbytes
+    src_strides = [prod(src[i + 1 :]) for i in range(len(src))]
+    out = 0
+    for idx in product(*map(range, box)):
+        slot = h >> bits * sum(map(mul, idx, src_strides)) & (1 << bits) - 1
+        out |= slot << bits * sum(map(mul, idx, strides))
+    return out
+
+
+@pytest.mark.parametrize(
+    "src, box, spans",
+    [
+        ((7,), (4,), (9,)),
+        ((4, 5), (3, 2), (6, 4)),
+        ((4, 5), (4, 5), (4, 5)),
+        ((4, 1), (3, 1), (5, 3)),  # a constant last coordinate
+        ((1, 5), (1, 4), (1, 6)),  # a constant leading coordinate
+        ((3, 2, 4), (2, 2, 3), (4, 3, 5)),
+    ],
+)
+@pytest.mark.parametrize("nbytes", (1, 3))
+def test_place_matches_slotwise_copy(src, box, spans, nbytes):
+    # a row fills only its corner box of the source layout
+    rng = random.Random(f"{src}{box}{nbytes}")
+    src_strides = [prod(src[i + 1 :]) for i in range(len(src))]
+    h = 0
+    for idx in product(*map(range, box)):
+        h |= rng.randrange(1, 256**nbytes) << 8 * nbytes * sum(map(mul, idx, src_strides))
+    strides = [prod(spans[i + 1 :]) for i in range(len(spans))]
+    placed = counting._place(h, list(src), list(box), strides, nbytes)
+    assert placed == slotwise_place(h, src, box, strides, nbytes)
 
 
 @pytest.mark.parametrize("nbytes", range(1, 10))
@@ -240,7 +280,7 @@ def test_oracle_budget_guard(p2_circle, corpus, monkeypatch):
 
 
 def test_one_cell_budget(p2_circle, p1p1_diag, monkeypatch):
-    counting._packed.cache_clear()
+    counting._packed.clear()
     cached = full_weight_distribution(p2_circle, 3)
     monkeypatch.setattr(counting, "CELL_BUDGET", 10)
     with pytest.raises(EngineLimit, match="budget 10"):
@@ -309,13 +349,19 @@ def test_section_dimensions_rejects_bad_input(su2_p3, p1p1_diag, p2_circle):
         section_dimensions(p1p1_diag, 0, [2])
 
 
+def stored_records():
+    """Every stored packed product, as (layout, levels, identity)."""
+    return [(layout, lv, id(p)) for layout, store in counting._packed.items() for lv, p in store.items()]
+
+
 def test_packed_counts_are_shared_by_equal_torus_weights(p1_hyperplane):
     # SU(2) on P(V) has torus weights (1, -1), as does p1_hyperplane: the
     # SU(2) reading at level 5 finds the level the circle action built
     su2_p1 = su2_scenario([[1]], [1])
-    counting._packed.cache_clear()
+    counting._packed.clear()
     section_dimension(p1_hyperplane, 5, 1)
-    assert counting._packed.cache_info().misses == 1
+    built = stored_records()
+    assert len(built) == 1
     assert section_dimension(su2_p1, 5, 1) == 0  # H^0(O(5)) = V_5
     assert section_dimension(su2_p1, 5, 5) == 6
-    assert counting._packed.cache_info().misses == 1
+    assert stored_records() == built

@@ -207,12 +207,18 @@ def _is_cache(node) -> bool:
     return name in ("lru_cache", "cache")
 
 
+def _is_empty_container(node) -> bool:
+    """Whether `node` builds an empty dict, set or list, as a cache starts."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("dict", "set", "list") and not node.args
+
+
 def test_no_new_module_level_caches():
     # per-scenario state belongs on objects: a module-level cache grows
-    # without bound.  The packed-level cache is the one engine object:
-    # keyed by weight layout and levels alone, inspected and cleared with
-    # cache_info() and cache_clear(), and left unbounded until a workload
-    # shows it growing
+    # without bound.  The packed-level store is the one engine object:
+    # one dict of levels per weight layout, cleared with clear(), and left
+    # unbounded until a workload shows it growing
     allowed = {"counting._packed"}
     found = set()
     for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
@@ -220,6 +226,10 @@ def test_no_new_module_level_caches():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if any(_is_cache(d) for d in node.decorator_list):
                     found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(f"{path.stem}.{getattr(x, 'id', x.lineno)}" for x in targets)
             elif any(_is_cache(n) for n in ast.walk(node)):
                 found.add(f"{path.stem}:{node.lineno}")
     assert found <= allowed, found - allowed
+    assert "counting._packed" in found

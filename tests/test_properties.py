@@ -1,7 +1,8 @@
 """Property tests: the packed counting engine, read one weight at many
 levels per call, against the brute-force oracle on random small scenarios
 of every torus rank, with negative weights,
-constant coordinates and twists; the closed-form Duistermaat-Heckman
+constant coordinates and twists; levels built together in one ladder
+against levels built alone; the closed-form Duistermaat-Heckman
 volume against invariant counts on random regular P^2 scenarios and
 against the fitted volume on random regular P^1..P^5 scenarios; moment
 image queries against a point-in-hull test in Fractions; generic
@@ -26,6 +27,7 @@ from equivol import (
     brute_force_oracle,
     circle_scenario,
     classify_stability,
+    counting,
     dh_slice_volume,
     equivariant_volume,
     full_weight_distribution,
@@ -39,6 +41,7 @@ from equivol import (
     section_dimension,
     section_dimensions,
     su2_scenario,
+    total_dimension,
     validate_scenario,
 )
 from equivol.counting import conservation_sides
@@ -151,7 +154,7 @@ def test_stepped_engine_matches_oracle(s, data):
 
 
 # the table reads every level from one ladder with slots sized at k_max;
-# the cached per-level counts size their slots at each level
+# a level read alone from an empty store sizes its slots at that level
 KINDS = {"rank1": rank1_scenarios(), "rank2": rank2_scenarios(), "su2": su2_scenarios(), "stepped": stepped_scenarios()}
 
 
@@ -167,6 +170,43 @@ def test_isotypic_table_matches_levels(kind, data):
         for mu, n in full_weight_distribution(s, k).items()
     }
     assert isotypic_table(s, k_max).entries == expect
+
+
+LADDER_KINDS = {"rank1": rank1_scenarios(), "rank2": rank2_scenarios(), "su2": su2_scenarios()}
+# the SU(2) oracle takes about 2 s at 50,000 monomials, far below ORACLE_BUDGET;
+# past this size the levels are compared with levels built alone only
+LADDER_ORACLE_MONOMIALS = 20_000
+
+
+def _built_alone(s, k):
+    """The level-k distribution from a record built alone in an empty store."""
+    counting._packed.clear()
+    return full_weight_distribution(s, k)
+
+
+@pytest.mark.parametrize("kind", sorted(LADDER_KINDS))
+@SETTINGS
+@given(data=st.data())
+def test_ladder_records_match_levels_built_alone(kind, data):
+    # a read builds the levels it misses in one ladder, whose slots are
+    # sized by its top level: from an empty store, and from one that
+    # already holds some of the levels, built alone
+    s = data.draw(LADDER_KINDS[kind])
+    ks = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=5))
+    ks = data.draw(st.permutations(ks + ks[:1]))
+    dists = {k: _built_alone(s, k) for k in set(ks)}
+    for k, dist in dists.items():
+        if total_dimension(s, k) <= LADDER_ORACLE_MONOMIALS:
+            assert dist == brute_force_oracle(s, k), k
+    mus = sorted({mu for dist in dists.values() for mu in dist})
+    expect = [[dists[k].get(mu, 0) * s.dim_irrep(mu) for k in ks] for mu in mus]
+    counting._packed.clear()
+    assert [section_dimensions(s, mu, ks) for mu in mus] == expect, ks
+    counting._packed.clear()
+    for k in data.draw(st.lists(st.sampled_from(ks), max_size=3)):
+        full_weight_distribution(s, k)
+    assert counting._section_counts(s, mus, ks) == expect, ks
+    assert [section_dimensions(s, mu, ks) for mu in mus] == expect, ks
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Semigroups, exponents and exact volume fits."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,12 @@ from equivol import (
     homogeneity_transform,
     mu_semigroup,
     residue_volume,
+    scenario_from_dict,
     scenario_power,
     su2_scenario,
     volumes,
 )
+from equivol.cli import main
 
 
 # --- semigroups and exponents -------------------------------------------------
@@ -269,20 +272,59 @@ def test_fit_levels_budget_guard(monkeypatch):
 def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
     # every class carries one sample beyond those it is interpolated from;
     # shifting the first sample at mu = 1 by one must be caught, not absorbed
-    true_dimensions = volumes.section_dimensions
+    true_counts = volumes._section_counts
     shifted = []
 
-    def perturbed(s, mu, ks):
-        ys = true_dimensions(s, mu, ks)
-        if mu == 1 and not shifted:
+    def perturbed(s, mus, ks):
+        rows = true_counts(s, mus, ks)
+        if mus[0] == 1 and not shifted:
             shifted.append(ks[0])
-            ys[0] += 1
-        return ys
+            rows[0][0] += 1
+        return rows
 
-    monkeypatch.setattr(volumes, "section_dimensions", perturbed)
+    monkeypatch.setattr(volumes, "_section_counts", perturbed)
     with pytest.raises(RuntimeError, match="fit no polynomial"):
         equivariant_volume(p2_circle, 1)
     assert len(shifted) == 1
+
+
+# SU(2) on P(Sym^5): P = 120 and six samples per class, so a fit reads 720
+# levels up to k = 722
+SYM5 = {"group": "su2", "g": 3, "factors": [{"dim": 5, "sym_powers": [5]}], "bundle": {"degrees": [1]}}
+
+
+def count_factor_rows(monkeypatch) -> list:
+    """Record the top degree of every run of the factor recurrence."""
+    runs = []
+    true_rows = counting._factor_rows
+
+    def counted(ws, reach, m, nbytes):
+        runs.append(m)
+        return true_rows(ws, reach, m, nbytes)
+
+    monkeypatch.setattr(counting, "_factor_rows", counted)
+    return runs
+
+
+def test_sym5_fit_reads_its_levels_from_one_ladder(monkeypatch):
+    s = scenario_from_dict(SYM5)
+    runs = count_factor_rows(monkeypatch)
+    counting._packed.clear()
+    first = equivariant_volume(s, 0)
+    assert runs == [722]
+    got = [first] + [equivariant_volume(s, mu) for mu in range(1, 7)]
+    assert [est.value for est in got] == [Fraction((mu + 1) ** 2, 96) for mu in range(7)]
+    assert [est.fit.period for est in got] == [24, 24, 8, 12, 24, 8, 24]
+
+
+def test_sym5_degree_2_stops_before_any_level_is_built(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "sym5_degree2.json"
+    doc.write_text(json.dumps(dict(SYM5, bundle={"degrees": [2]})))
+    runs = count_factor_rows(monkeypatch)
+    assert main(["volume", "--scenario", str(doc), "--mu", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: weight DP needs 62432838 cells > budget 60000000\n")
+    assert len(runs) == 1
 
 
 # --- transformation laws ------------------------------------------------------
