@@ -73,8 +73,9 @@ def _mus(args, s: Scenario):
 
 
 def _emit(rows, fieldnames, args):
+    """Rows are tuples in `fieldnames` order; JSON writes one object per row."""
     if args.format == "json":
-        text = tables.to_json(rows)
+        text = tables.to_json([dict(zip(fieldnames, row)) for row in rows])
     else:
         text = tables.to_csv(rows, fieldnames)
     tables.emit(text, args.out)
@@ -174,14 +175,8 @@ def cmd_predict(args) -> int:
     for mu in _mus(args, s):
         cert = geometry.numerically_compatible(s, mu)
         predicted = geometry.predicted_volume(s, mu, vol0.value)
-        rows.append(
-            {
-                "mu": render_weight(mu),
-                "compatible": cert.compatible,
-                "witness": "" if cert.witness is None else cert.witness,
-                "predicted": render_rational(predicted),
-            }
-        )
+        witness = "" if cert.witness is None else cert.witness
+        rows.append((render_weight(mu), cert.compatible, witness, render_rational(predicted)))
     _emit(rows, ["mu", "compatible", "witness", "predicted"], args)
     return 0
 
@@ -204,6 +199,8 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     s = load_scenario(args.scenario)
+    if args.k_max < 0:
+        raise InputError(f"--k-max must be >= 0, got {args.k_max}")
     table = isotypic_table(s, args.k_max)
     _emit(tables.multiplicity_rows(s, table.sorted_items()), ["k", "mu", "dim"], args)
     return 0

@@ -59,7 +59,7 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass, field
-from itertools import compress, product, repeat
+from itertools import chain, compress, product, repeat
 from math import comb, gcd, prod
 from operator import mul, sub
 from typing import NamedTuple
@@ -309,36 +309,42 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
 
 @dataclass
 class IsotypicTable:
-    """Exact map (k, mu) -> isotypic dimension, for k = 0..k_max.
+    """Exact isotypic dimensions (k, mu) -> N(mu) * dim V_mu for
+    k = 0..k_max, stored by level as the ladder yields them: ``levels[k]``
+    is a pair of lists (weights mu in weight order, their dimensions).
 
-    Entries cover the support only; absent pairs have dimension 0.
+    Levels cover the support only; absent pairs have dimension 0.
     Treat instances as immutable once built.
     """
 
     scenario: Scenario
     k_max: int
-    entries: dict = field(default_factory=dict)
+    levels: list = field(default_factory=list)
 
-    def sorted_items(self):
-        """Entries in (k, weight vector) order, which is the order
-        :func:`isotypic_table` inserts them in."""
-        return list(self.entries.items())
+    def sorted_items(self) -> list:
+        """((k, mu), dim) items in (k, weight vector) order."""
+        return list(chain.from_iterable(zip(zip(repeat(k), mus), ns) for k, (mus, ns) in enumerate(self.levels)))
+
+    @property
+    def entries(self) -> dict:
+        """The map (k, mu) -> dim of :meth:`sorted_items`."""
+        return dict(self.sorted_items())
 
 
 def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     """Every level 0..k_max from one ladder: each factor's recurrence runs
     once, up to k_max * d_j, and nothing is cached."""
-    entries = {}
     if k_max < 0:
-        return IsotypicTable(s, k_max, entries)
+        return IsotypicTable(s, k_max)
     twist, su2 = s.twist_vec, s.group.is_su2
     ladder = [_level_degrees(s, k) for k in range(k_max + 1)]
+    levels = []
     for k, p in enumerate(_ladder(s.weight_layout, ladder)):
         mus, ns = _multiplicities(p, k, twist, su2)
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
             ns = [n * (mu + 1) for mu, n in zip(mus, ns)]
-        entries.update(zip(zip(repeat(k), mus), ns))
-    return IsotypicTable(s, k_max, entries)
+        levels.append((mus, ns))
+    return IsotypicTable(s, k_max, levels)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Identical inputs produce byte-identical files: rows are ordered
 lexicographically in (k, weight vector), rationals render as ``p/q`` in
 lowest terms (plain integer string when integral), and JSON is emitted
-with sorted keys and a fixed separator convention.
+with sorted keys and a fixed separator convention.  Every row emitter
+returns tuples in the order of its header; CSV writes them as they are,
+and JSON zips each with the header into an object.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from operator import itemgetter
 
 
 def render_rational(x) -> str:
@@ -25,8 +26,16 @@ def render_rational(x) -> str:
 
 def render_weight(mu) -> str:
     if isinstance(mu, tuple):
-        return "(" + ",".join(str(x) for x in mu) + ")"
+        return "(" + ",".join(map(str, mu)) + ")"
     return str(mu)
+
+
+class _Names(dict):
+    """Rendered weights, each rendered once, on its first lookup."""
+
+    def __missing__(self, mu):
+        name = self[mu] = render_weight(mu)
+        return name
 
 
 def multiplicity_rows(s, items):
@@ -34,42 +43,29 @@ def multiplicity_rows(s, items):
 
     The weights of one scenario are all ints or all tuples, so the natural
     order of the ((k, mu), dim) items is that order; `s` is not consulted.
-    Each distinct weight is rendered once.
+    Each distinct weight is rendered once, and its rows share the string.
     """
-    items = sorted(items)
-    names = {mu: render_weight(mu) for mu in {mu for (_, mu), _ in items}}
-    return [{"k": k, "mu": names[mu], "dim": dim} for (k, mu), dim in items]
+    names = _Names()
+    return [(k, names[mu], dim) for (k, mu), dim in sorted(items)]
 
 
 def volume_rows(pairs):
-    """Rows from (mu, VolumeEstimate) pairs in weight order; header
-    mu,value,status,residue,period."""
+    """(mu, value, status, residue, period) rows from (mu, VolumeEstimate)
+    pairs, in weight order."""
     out = []
     for mu, est in sorted(pairs, key=lambda p: p[0]):
-        fit = est.fit
-        out.append(
-            {
-                "mu": render_weight(mu),
-                "value": render_rational(est.value),
-                "status": est.status,
-                "residue": "" if fit is None else fit.residue,
-                "period": "" if fit is None else fit.period,
-            }
-        )
+        fit = ("", "") if est.fit is None else (est.fit.residue, est.fit.period)
+        out.append((render_weight(mu), render_rational(est.value), est.status, *fit))
     return out
 
 
-def to_csv(rows, fieldnames=None) -> str:
-    """A header line, then each row's values in `fieldnames` order (default:
-    the first row's keys), written in one call; every row has every field."""
+def to_csv(rows, fieldnames) -> str:
+    """A header line of `fieldnames`, then the rows, each a sequence of
+    values in header order, written in one call."""
     buf = io.StringIO()
-    if fieldnames is None:
-        fieldnames = list(rows[0]) if rows else []
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
-    # itemgetter of one key returns a bare value, not a sequence
-    values = itemgetter(*fieldnames) if len(fieldnames) > 1 else lambda row: [row[f] for f in fieldnames]
-    writer.writerows(map(values, rows))
+    writer.writerows(rows)
     return buf.getvalue()
 
 

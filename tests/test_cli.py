@@ -188,6 +188,7 @@ def test_mu_required(capsys):
         (["volume", "--scenario", P1, "--mu-range", "1-3"], "cannot parse range '1-3'"),
         (["multiplicity", "--scenario", P2, "--k", "1"], "multiplicity needs --mu or --all-mu"),
         (["multiplicity", "--scenario", P2, "--k", "-1", "--all-mu"], "tensor power must be >= 0"),
+        (["table", "--scenario", P2, "--k-max", "-1"], "--k-max must be >= 0, got -1"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):

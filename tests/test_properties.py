@@ -2,7 +2,8 @@
 levels per call, against the brute-force oracle on random small scenarios
 of every torus rank, with negative weights,
 constant coordinates and twists; levels built together in one ladder
-against levels built alone; the closed-form Duistermaat-Heckman
+against levels built alone; the table's CSV against ``csv.DictWriter``
+over each level's distribution; the closed-form Duistermaat-Heckman
 volume against invariant counts on random regular P^2 scenarios and
 against the fitted volume on random regular P^1..P^5 scenarios; moment
 image queries against a point-in-hull test in Fractions; generic
@@ -15,6 +16,8 @@ rank-1 scenarios; and random scenarios read back from their document form.
 Examples are derandomized; their number is bounded for run time only.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -45,6 +48,7 @@ from equivol import (
     validate_scenario,
 )
 from equivol.counting import conservation_sides
+from equivol.tables import multiplicity_rows, to_csv
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 LEVELS = st.integers(0, 3)
@@ -170,6 +174,34 @@ def test_isotypic_table_matches_levels(kind, data):
         for mu, n in full_weight_distribution(s, k).items()
     }
     assert isotypic_table(s, k_max).entries == expect
+
+
+def _dictwriter_table(s, k_max):
+    """The table's CSV built apart from the row emitters: one dict per
+    weight of each level's distribution, sorted by (k, weight vector)."""
+    rows = [
+        (k, s.weight_vec(mu), {"k": k, "mu": str(mu).replace(" ", ""), "dim": n * s.dim_irrep(mu)})
+        for k in range(k_max + 1)
+        for mu, n in full_weight_distribution(s, k).items()
+    ]
+    rows.sort(key=lambda r: r[:2])
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=["k", "mu", "dim"], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(r[2] for r in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["rank1", "rank2", "su2"])
+@SETTINGS
+@given(data=st.data())
+def test_table_csv_matches_dictwriter_of_levels(kind, data):
+    s = data.draw(KINDS[kind])
+    k_max = data.draw(st.integers(0, 6))
+    table = isotypic_table(s, k_max)
+    items = table.sorted_items()
+    assert to_csv(multiplicity_rows(s, items), ["k", "mu", "dim"]) == _dictwriter_table(s, k_max)
+    assert table.entries == dict(items)
 
 
 LADDER_KINDS = {"rank1": rank1_scenarios(), "rank2": rank2_scenarios(), "su2": su2_scenarios()}

@@ -1,5 +1,6 @@
-"""Table emission: `to_csv` writes every row in one call, and its bytes
-match `csv.DictWriter` on the rows each command emits."""
+"""Table emission: every command's rows are tuples in header order;
+`to_csv` writes them in one call, and its bytes match `csv.DictWriter` on
+the rows zipped with the header, as `--format json` writes them."""
 
 import csv
 import io
@@ -35,7 +36,7 @@ def test_to_csv_matches_dictwriter(name, monkeypatch, capsys):
     emitted = []
     to_csv = tables.to_csv
 
-    def recording(rows, fieldnames=None):
+    def recording(rows, fieldnames):
         emitted.append((rows, fieldnames))
         return to_csv(rows, fieldnames)
 
@@ -43,28 +44,33 @@ def test_to_csv_matches_dictwriter(name, monkeypatch, capsys):
     assert main(COMMANDS[name]) == 0
     (rows, fieldnames), = emitted
     assert rows
-    text = dictwriter_csv(rows, fieldnames)
+    assert all(type(row) is tuple and len(row) == len(fieldnames) for row in rows)
+    dicts = [dict(zip(fieldnames, row)) for row in rows]
+    text = dictwriter_csv(dicts, fieldnames)
     assert capsys.readouterr().out == text
-    assert to_csv(rows) == text  # the first row's keys are the fields
+    # JSON writes the same rows as objects keyed by the header
+    assert main(COMMANDS[name] + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == tables.to_json(dicts)
     if name == "table_rank2":
         assert '"(1,-1)"' in text
 
 
-@pytest.mark.parametrize("fieldnames", [None, [], ["mu", "value", "status", "residue", "period"]])
+@pytest.mark.parametrize("fieldnames", [["k", "mu", "dim"], [], ["mu", "value", "status", "residue", "period"]])
 def test_to_csv_of_no_rows_matches_dictwriter(fieldnames):
-    assert tables.to_csv([], fieldnames) == dictwriter_csv([], fieldnames or [])
+    assert tables.to_csv([], fieldnames) == dictwriter_csv([], fieldnames)
 
 
 def test_to_csv_single_field():
-    rows = [{"mu": "(1,-2)"}, {"mu": "3"}]
-    assert tables.to_csv(rows) == dictwriter_csv(rows, ["mu"]) == 'mu\n"(1,-2)"\n3\n'
+    rows = [("(1,-2)",), ("3",)]
+    dicts = [{"mu": "(1,-2)"}, {"mu": "3"}]
+    assert tables.to_csv(rows, ["mu"]) == dictwriter_csv(dicts, ["mu"]) == 'mu\n"(1,-2)"\n3\n'
 
 
 def test_multiplicity_rows_share_rendered_weights():
     rows = tables.multiplicity_rows(None, [((1, (0, 1)), 2), ((0, (0, 1)), 1), ((1, (-1, 0)), 3)])
     assert rows == [
-        {"k": 0, "mu": "(0,1)", "dim": 1},
-        {"k": 1, "mu": "(-1,0)", "dim": 3},
-        {"k": 1, "mu": "(0,1)", "dim": 2},
+        (0, "(0,1)", 1),
+        (1, "(-1,0)", 3),
+        (1, "(0,1)", 2),
     ]
-    assert rows[0]["mu"] is rows[2]["mu"]
+    assert rows[0][1] is rows[2][1]
