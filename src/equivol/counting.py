@@ -37,9 +37,10 @@ read collects the levels it needs that are not stored yet, builds them in
 one ladder sorted by k, stores them and then reads the slots; a stored
 level is never rebuilt.  The twist never enters the store but is applied
 as an offset when a slot is read.  :func:`section_dimensions` reads one
-weight at many levels in one call, :func:`_section_counts` several
-weights at the same levels (a volume fit reads mu and the zero weight),
-and :func:`full_weight_distribution` reads every weight of one level.
+weight at many levels in one call (a wrapper of :func:`section_counts`,
+which reads several weights at the same levels: a volume fit reads mu and
+the zero weight), and :func:`full_weight_distribution` reads every weight
+of one level.
 
 Every DP and product is checked against one cap, CELL_BUDGET, read at call
 time; a request past it raises :class:`EngineLimit`.  For a deliberately
@@ -257,10 +258,10 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
-def _section_counts(s: Scenario, mus, ks) -> list[list[int]]:
+def section_counts(s: Scenario, mus, ks) -> list[list[int]]:
     """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one list
     per weight mu of `mus`, each with one entry per level k of `ks`, in the
-    order given.
+    order given; the levels not stored yet are built in one ladder.
 
     Each weight and the bundle are read once, and every level's record is
     fetched once for all weights; a weight then costs one slot of it, two
@@ -287,9 +288,9 @@ def _section_counts(s: Scenario, mus, ks) -> list[list[int]]:
 
 def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one per
-    level k of `ks`, in the order given; the levels not stored yet are
-    built in one ladder."""
-    return _section_counts(s, (mu,), ks)[0]
+    level k of `ks`, in the order given: :func:`section_counts` of the one
+    weight mu."""
+    return section_counts(s, (mu,), ks)[0]
 
 
 def section_dimension(s: Scenario, k: int, mu) -> int:

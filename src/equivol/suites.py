@@ -1,17 +1,27 @@
 """Verification suites tying counted values to the structural laws.
 
-Each suite runs a family of exact checks over a scenario corpus and
-returns a :class:`SuiteReport`; a suite passes only if every record
-passes, and every record carries the data needed to re-run it in
-isolation.  An estimate that is not finite where a law needs a finite one
-fails the affected check with its status recorded, never silently.
+A suite is one law and one scope.  The law takes one scenario and yields
+its checks, each a tuple ``(claim, lhs, rhs, passed[, witness])``; the
+scope says which scenarios the law applies to: every one, those the
+geometry covers (:func:`geometry.supported`), or the supported regular
+ones.  :func:`run_suite` is the only loop over a corpus: it runs the law
+on each scenario in scope, in corpus order, and wraps every check in a
+:class:`CheckRecord` labelled with the scenario's name.  ``_SUITES`` maps
+each suite name to its law and scope, so adding a suite is one entry
+there.  The continuity suite reads no corpus document: its one scenario
+is the whole P^2 bundle family, labelled ``p2_family``.
+
+A suite passes only if every record passes, and every record carries the
+data needed to re-run it in isolation.  An estimate that is not finite
+where a law needs a finite one fails the affected check with its status
+recorded, never silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from . import geometry
@@ -22,7 +32,7 @@ from .counting import (
     section_dimension,
     section_dimensions,
 )
-from .model import LinearizedBundle, Scenario, scenario_power, tensor_product, with_bundle
+from .model import LinearizedBundle, Scenario, circle_scenario, scenario_power, tensor_product, with_bundle
 from .tables import render_rational, render_weight
 from .volumes import equivariant_volume, g_exponent, g_semigroup, mu_semigroup
 
@@ -37,14 +47,7 @@ class CheckRecord:
     witness: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "scenario": self.scenario,
-            "claim": self.claim,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -79,195 +82,146 @@ class SuiteReport:
 
 
 def run_suite(name: str, corpus) -> SuiteReport:
-    """Run one named suite over corpus pairs (label, scenario)."""
-    if name not in _RUNNERS:
+    """Run one named suite over corpus pairs (label, scenario): its law on
+    each scenario in its scope, in corpus order.  The continuity suite
+    runs on its own family and ignores `corpus`."""
+    if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    return _RUNNERS[name](corpus)
+    law, in_scope = _SUITES[name]
+    if name == "continuity":
+        corpus = [("p2_family", continuity_family())]
+    records = [CheckRecord(label, *check) for label, s in corpus if in_scope(s) for check in law(s)]
+    return SuiteReport(name, [label for label, _ in corpus], records)
 
 
 # ---------------------------------------------------------------------------
+# scopes; each looks `geometry`'s functions up at call time, so a wrapped or
+# patched one is the one called
 
 
-def suite_oracle(corpus) -> SuiteReport:
+def _every(s) -> bool:
+    return True
+
+
+def _supported(s) -> bool:
+    return geometry.supported(s)
+
+
+def _regular(s) -> bool:
+    """Covered by the geometry and of stability class regular."""
+    return geometry.supported(s) and geometry.classify_stability(s).stability == "regular"
+
+
+# ---------------------------------------------------------------------------
+# laws
+
+
+def _estimate(est) -> str:
+    return f"{render_rational(est.value)} [{est.status}]"
+
+
+def _oracle(s):
     """Engine distribution == brute-force enumeration, plus conservation,
     at k = 0..8."""
-    records = []
-    for name, s in corpus:
-        for k in range(0, 9):
-            engine = full_weight_distribution(s, k)
-            oracle = brute_force_oracle(s, k)
-            ok = engine == oracle
-            records.append(
-                CheckRecord(
-                    name,
-                    f"full_weight_distribution == brute_force_oracle at k={k}",
-                    f"{len(engine)} weights",
-                    f"{len(oracle)} weights",
-                    ok,
-                    {} if ok else {"engine": str(engine), "oracle": str(oracle)},
-                )
-            )
-            lhs, rhs = conservation_sides(s, k, engine)
-            records.append(CheckRecord(name, f"conservation at k={k}", str(lhs), str(rhs), lhs == rhs))
-    return SuiteReport("oracle", [n for n, _ in corpus], records)
+    for k in range(0, 9):
+        engine = full_weight_distribution(s, k)
+        oracle = brute_force_oracle(s, k)
+        ok = engine == oracle
+        yield (
+            f"full_weight_distribution == brute_force_oracle at k={k}",
+            f"{len(engine)} weights",
+            f"{len(oracle)} weights",
+            ok,
+            {} if ok else {"engine": str(engine), "oracle": str(oracle)},
+        )
+        lhs, rhs = conservation_sides(s, k, engine)
+        yield f"conservation at k={k}", str(lhs), str(rhs), lhs == rhs
 
 
-def suite_homogeneity(corpus) -> SuiteReport:
+def _homogeneity(s):
     """vol_mu(L^p) = p^(n-g) vol_mu(L) for gcd(p, e)=1, and the
     unconditional trivial-representation law for q in [1, 6]."""
-    records = []
-    for name, s in corpus:
-        if not geometry.supported(s):
+    D = s.quotient_degree
+    vol0 = equivariant_volume(s, s.zero_weight)
+    if vol0.finite:
+        for q in range(1, 7):
+            lhs = equivariant_volume(scenario_power(s, q), s.zero_weight)
+            want = Fraction(q) ** D * vol0.value
+            ok = lhs.finite and lhs.value == want
+            yield f"vol_0(L^{q}) = {q}^(n-g) vol_0(L)", _estimate(lhs), render_rational(want), ok, {"q": q}
+    regular = _regular(s)
+    e = g_exponent(s).exponent
+    if not regular or e is None:
+        return
+    for p in (3, 5):
+        if gcd(p, e) != 1:
             continue
-        D = s.quotient_degree
-        vol0 = equivariant_volume(s, s.zero_weight)
-        if vol0.finite:
-            for q in range(1, 7):
-                lhs = equivariant_volume(scenario_power(s, q), s.zero_weight)
-                ok = lhs.finite and lhs.value == Fraction(q) ** D * vol0.value
-                records.append(
-                    CheckRecord(
-                        name,
-                        f"vol_0(L^{q}) = {q}^(n-g) vol_0(L)",
-                        f"{render_rational(lhs.value)} [{lhs.status}]",
-                        render_rational(Fraction(q) ** D * vol0.value),
-                        ok,
-                        {"q": q},
-                    )
-                )
-        rep = geometry.classify_stability(s)
-        er = g_exponent(s)
-        if rep.stability != "regular" or er.exponent is None:
-            continue
-        for p in (3, 5):
-            if gcd(p, er.exponent) != 1:
-                continue
-            sp = scenario_power(s, p)
-            for mu in s.default_mus(2):
-                base = equivariant_volume(s, mu)
-                lhs = equivariant_volume(sp, mu)
-                ok = (
-                    base.finite
-                    and lhs.finite
-                    and lhs.value == Fraction(p) ** D * base.value
-                )
-                records.append(
-                    CheckRecord(
-                        name,
-                        f"vol_mu(L^{p}) = {p}^(n-g) vol_mu(L) at mu={render_weight(mu)}",
-                        f"{render_rational(lhs.value)} [{lhs.status}]",
-                        render_rational(None if not base.finite else Fraction(p) ** D * base.value),
-                        ok,
-                        {"p": p, "mu": render_weight(mu)},
-                    )
-                )
-    return SuiteReport("homogeneity", [n for n, _ in corpus], records)
+        sp = scenario_power(s, p)
+        for mu in s.default_mus(2):
+            base = equivariant_volume(s, mu)
+            lhs = equivariant_volume(sp, mu)
+            want = Fraction(p) ** D * base.value if base.finite else None
+            yield (
+                f"vol_mu(L^{p}) = {p}^(n-g) vol_mu(L) at mu={render_weight(mu)}",
+                _estimate(lhs),
+                render_rational(want),
+                base.finite and lhs.finite and lhs.value == want,
+                {"p": p, "mu": render_weight(mu)},
+            )
 
 
-def suite_exponent_law(corpus) -> SuiteReport:
+def _exponent_law(s):
     """e_G(L^p) = e_G(L)/gcd(p, e_G(L)) for p in [1, 12], each power's
     semigroup read up to m = 12 (exponents stabilize at once on the corpus)."""
-    records = []
-    for name, s in corpus:
-        er = g_exponent(s)
-        if er.exponent is None:
-            continue
-        e = er.exponent
-        for p in range(1, 13):
-            got = g_exponent(scenario_power(s, p), 12).exponent
-            want = e // gcd(p, e)
-            records.append(
-                CheckRecord(
-                    name,
-                    f"e_G(L^{p}) = e_G(L)/gcd({p}, e_G(L))",
-                    str(got),
-                    str(want),
-                    got == want,
-                    {"p": p, "e": e},
-                )
-            )
-    return SuiteReport("exponent_law", [n for n, _ in corpus], records)
+    e = g_exponent(s).exponent
+    if e is None:
+        return
+    for p in range(1, 13):
+        got = g_exponent(scenario_power(s, p), 12).exponent
+        want = e // gcd(p, e)
+        yield f"e_G(L^{p}) = e_G(L)/gcd({p}, e_G(L))", str(got), str(want), got == want, {"p": p, "e": e}
 
 
-def suite_compatibility(corpus) -> SuiteReport:
-    """Regular scenarios: vol_mu > 0 iff a compatibility witness exists,
-    and positive volumes equal dim(V_mu)^2 vol_0 exactly."""
-    records = []
-    for name, s in corpus:
-        if not geometry.supported(s):
-            continue
-        if geometry.classify_stability(s).stability != "regular":
-            continue
-        vol0 = equivariant_volume(s, s.zero_weight)
-        records.append(
-            CheckRecord(
-                name,
-                "vol_0 is exact and positive on a regular scenario",
-                f"{render_rational(vol0.value)} [{vol0.status}]",
-                "positive",
-                vol0.positive,
-            )
+def _compatibility(s):
+    """vol_mu > 0 iff a compatibility witness exists, and positive volumes
+    equal dim(V_mu)^2 vol_0 exactly."""
+    vol0 = equivariant_volume(s, s.zero_weight)
+    yield "vol_0 is exact and positive on a regular scenario", _estimate(vol0), "positive", vol0.positive
+    if not vol0.positive:
+        return
+    for mu in s.default_mus():
+        cert = geometry.numerically_compatible(s, mu)
+        est = equivariant_volume(s, mu)
+        predicted = geometry.predicted_volume(s, mu, vol0.value)
+        yield (
+            f"vol_mu > 0 iff compatible, and equals dim(V_mu)^2 vol_0, mu={render_weight(mu)}",
+            _estimate(est),
+            render_rational(predicted),
+            est.finite and (est.value > 0) == cert.compatible and est.value == predicted,
+            {"witness": cert.witness, "mu": render_weight(mu)},
         )
-        if not vol0.positive:
-            continue
-        for mu in s.default_mus():
-            cert = geometry.numerically_compatible(s, mu)
-            est = equivariant_volume(s, mu)
-            predicted = geometry.predicted_volume(s, mu, vol0.value)
-            ok = est.finite and (est.value > 0) == cert.compatible and est.value == predicted
-            records.append(
-                CheckRecord(
-                    name,
-                    f"vol_mu > 0 iff compatible, and equals dim(V_mu)^2 vol_0, mu={render_weight(mu)}",
-                    f"{render_rational(est.value)} [{est.status}]",
-                    render_rational(predicted),
-                    ok,
-                    {"witness": cert.witness, "mu": render_weight(mu)},
-                )
-            )
-    return SuiteReport("compatibility", [n for n, _ in corpus], records)
 
 
-def suite_vanishing(corpus) -> SuiteReport:
+def _vanishing(s):
     """Counted support lies in the scaled moment image for k <= 12; on
     unstable scenarios the counts vanish from the emitted bound up to
     k = 40."""
-    records = []
-    for name, s in corpus:
-        if not geometry.supported(s):
-            continue
-        img = geometry.moment_image(s)
-        bad = []
-        for k in range(1, 13):
-            for mu in full_weight_distribution(s, k):
-                if not img.scaled_contains(s.weight_vec(mu), k):
-                    bad.append((k, render_weight(mu)))
-        records.append(
-            CheckRecord(
-                name,
-                "support of H^0(L^k) inside k * moment image, k <= 12",
-                f"{len(bad)} escapes",
-                "0 escapes",
-                not bad,
-                {"escapes": bad[:5]},
-            )
-        )
-        if geometry.classify_stability(s).stability != "unstable_everywhere":
-            continue
-        for mu in s.default_mus():
-            r = geometry.vanishing_certificate(s, mu)
-            ok = r is not None and not any(section_dimensions(s, mu, range(r, 41)))
-            records.append(
-                CheckRecord(
-                    name,
-                    f"counts vanish for k >= r_mu, mu={render_weight(mu)}",
-                    f"r_mu={r}",
-                    "zero up to k=40",
-                    ok,
-                    {"mu": render_weight(mu), "r_mu": r},
-                )
-            )
-    return SuiteReport("vanishing", [n for n, _ in corpus], records)
+    img = geometry.moment_image(s)
+    bad = [
+        (k, render_weight(mu))
+        for k in range(1, 13)
+        for mu in full_weight_distribution(s, k)
+        if not img.scaled_contains(s.weight_vec(mu), k)
+    ]
+    claim = "support of H^0(L^k) inside k * moment image, k <= 12"
+    yield claim, f"{len(bad)} escapes", "0 escapes", not bad, {"escapes": bad[:5]}
+    if geometry.classify_stability(s).stability != "unstable_everywhere":
+        return
+    for mu in s.default_mus():
+        r = geometry.vanishing_certificate(s, mu)
+        ok = r is not None and not any(section_dimensions(s, mu, range(r, 41)))
+        at = render_weight(mu)
+        yield f"counts vanish for k >= r_mu, mu={at}", f"r_mu={r}", "zero up to k=40", ok, {"mu": at, "r_mu": r}
 
 
 def _invariantly_effective_bundle(s: Scenario):
@@ -287,157 +241,113 @@ def _invariantly_effective_bundle(s: Scenario):
     return None
 
 
-def suite_monotonicity(corpus) -> SuiteReport:
+def _monotonicity(s):
     """Tensoring with an invariantly effective bundle never shrinks volumes."""
-    records = []
-    for name, s in corpus:
-        if not geometry.supported(s):
-            continue
-        aux = _invariantly_effective_bundle(s)
-        if aux is None:
-            continue
-        bigger = with_bundle(s, tensor_product(s.bundle, aux))
-        for mu in s.default_mus(3):
-            lo = equivariant_volume(s, mu)
-            hi = equivariant_volume(bigger, mu)
-            if lo.status == "infinite":
-                ok = hi.status == "infinite"
-            else:
-                ok = lo.finite and (hi.status == "infinite" or (hi.finite and lo.value <= hi.value))
-            records.append(
-                CheckRecord(
-                    name,
-                    f"vol_mu(H) <= vol_mu(H (x) A), mu={render_weight(mu)}",
-                    f"{render_rational(lo.value)} [{lo.status}]",
-                    f"{render_rational(hi.value)} [{hi.status}]",
-                    ok,
-                    {"aux_degrees": aux.degrees, "aux_twist": aux.twist},
-                )
-            )
-    return SuiteReport("monotonicity", [n for n, _ in corpus], records)
+    aux = _invariantly_effective_bundle(s)
+    if aux is None:
+        return
+    bigger = with_bundle(s, tensor_product(s.bundle, aux))
+    for mu in s.default_mus(3):
+        lo = equivariant_volume(s, mu)
+        hi = equivariant_volume(bigger, mu)
+        if lo.status == "infinite":
+            ok = hi.status == "infinite"
+        else:
+            ok = lo.finite and (hi.status == "infinite" or (hi.finite and lo.value <= hi.value))
+        yield (
+            f"vol_mu(H) <= vol_mu(H (x) A), mu={render_weight(mu)}",
+            _estimate(lo),
+            _estimate(hi),
+            ok,
+            {"aux_degrees": aux.degrees, "aux_twist": aux.twist},
+        )
 
 
-def suite_translation(corpus) -> SuiteReport:
+def _translation(s):
     """Beyond a finite prefix, the mu-semigroup is the witness translate of
-    the invariant semigroup on regular scenarios, read up to m = 40; the
-    prefix may reach m = 20."""
+    the invariant semigroup, read up to m = 40; the prefix may reach
+    m = 20."""
     m_max = 40
-    records = []
-    for name, s in corpus:
-        if not geometry.supported(s):
-            continue
-        if geometry.classify_stability(s).stability != "regular":
-            continue
-        gs = g_semigroup(s, m_max)
-        for mu in s.default_mus(4):
-            cert = geometry.numerically_compatible(s, mu)
-            if not cert.compatible:
-                # no witness: the mu-semigroup must be empty
-                empty = mu_semigroup(s, mu, m_max) == frozenset()
-                records.append(
-                    CheckRecord(
-                        name,
-                        f"incompatible mu has empty semigroup, mu={render_weight(mu)}",
-                        "empty" if empty else "nonempty",
-                        "empty",
-                        empty,
-                        {"mu": render_weight(mu)},
-                    )
-                )
-                continue
-            r = cert.witness
-            translated = {r} | {r + m for m in gs}
-            ms = mu_semigroup(s, mu, m_max)
-            stab_point = None
-            for m0 in range(0, m_max // 2 + 1):
-                window = set(range(m0 + 1, m_max + 1))
-                if ms & window == translated & window:
-                    stab_point = m0
-                    break
-            records.append(
-                CheckRecord(
-                    name,
-                    f"mu-semigroup = witness + invariant semigroup beyond m_stab, mu={render_weight(mu)}",
-                    f"m_stab={stab_point}",
-                    f"m_stab <= {m_max // 2}",
-                    stab_point is not None,
-                    {"r": r, "mu": render_weight(mu)},
-                )
+    gs = g_semigroup(s, m_max)
+    for mu in s.default_mus(4):
+        cert = geometry.numerically_compatible(s, mu)
+        if not cert.compatible:
+            # no witness: the mu-semigroup must be empty
+            empty = mu_semigroup(s, mu, m_max) == frozenset()
+            yield (
+                f"incompatible mu has empty semigroup, mu={render_weight(mu)}",
+                "empty" if empty else "nonempty",
+                "empty",
+                empty,
+                {"mu": render_weight(mu)},
             )
-    return SuiteReport("translation", [n for n, _ in corpus], records)
+            continue
+        r = cert.witness
+        translated = {r} | {r + m for m in gs}
+        ms = mu_semigroup(s, mu, m_max)
+        stab_point = next(
+            (
+                m0
+                for m0 in range(0, m_max // 2 + 1)
+                if ms & (window := set(range(m0 + 1, m_max + 1))) == translated & window
+            ),
+            None,
+        )
+        yield (
+            f"mu-semigroup = witness + invariant semigroup beyond m_stab, mu={render_weight(mu)}",
+            f"m_stab={stab_point}",
+            f"m_stab <= {m_max // 2}",
+            stab_point is not None,
+            {"r": r, "mu": render_weight(mu)},
+        )
 
 
 def continuity_family():
     """The rank-one family on P^2 with weights (-1,1,1): bundles (d, c) for
     d in 1..6 and c in -3..3."""
-    from .model import circle_scenario
-
-    fam = []
-    for d in range(1, 7):
-        for c in range(-3, 4):
-            fam.append(((d, c), circle_scenario([[-1, 1, 1]], [d], twist=c)))
-    return fam
+    return [((d, c), circle_scenario([[-1, 1, 1]], [d], twist=c)) for d in range(1, 7) for c in range(-3, 4)]
 
 
-def suite_continuity(corpus) -> SuiteReport:
-    """On the regular members of the P^2 family, |vol_0(D) - vol_0(D')| is
-    bounded by C ||D - D'|| in the max-coordinate norm; the suite reports
+def _continuity(family):
+    """On the regular members of the family, |vol_0(D) - vol_0(D')| is
+    bounded by C ||D - D'|| in the max-coordinate norm; the law reports
     the minimal such C (the bound exponent n-g-1 is 0 here)."""
-    records = []
     values = {}
-    for key, s in continuity_family():
-        if geometry.classify_stability(s).stability != "regular":
+    for key, s in family:
+        if not _regular(s):
             continue
         est = equivariant_volume(s, 0)
-        records.append(
-            CheckRecord(
-                "p2_family",
-                f"vol_0 finite on regular class (d, c)={key}",
-                f"{render_rational(est.value)} [{est.status}]",
-                "finite",
-                est.finite,
-                {"d": key[0], "c": key[1]},
-            )
-        )
+        witness = {"d": key[0], "c": key[1]}
+        yield f"vol_0 finite on regular class (d, c)={key}", _estimate(est), "finite", est.finite, witness
         if est.finite:
             values[key] = est.value
-    c_min = Fraction(0)
-    worst = None
-    keys = sorted(values)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            dist = max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-            ratio = abs(values[a] - values[b]) / dist
-            if ratio > c_min:
-                c_min, worst = ratio, (a, b)
-    bound_holds = all(
-        abs(values[a] - values[b]) <= c_min * max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-        for a in keys
-        for b in keys
-        if a < b
+    # (a, b, |vol_0(a) - vol_0(b)|, max-norm(a - b)) over every grid pair
+    pairs = [
+        (a, b, abs(values[a] - values[b]), max(abs(a[0] - b[0]), abs(a[1] - b[1])))
+        for a, b in combinations(sorted(values), 2)
+    ]
+    c_min, worst = Fraction(0), None
+    for a, b, gap, dist in pairs:
+        if gap / dist > c_min:
+            c_min, worst = gap / dist, (a, b)
+    yield (
+        "finite C with |vol_0(D) - vol_0(D')| <= C max-norm(D - D') over all grid pairs",
+        f"C = {render_rational(c_min)}",
+        "finite",
+        all(gap <= c_min * dist for _, _, gap, dist in pairs),
+        {"grid_points": len(values), "attained_at": worst, "norm": "max_coordinate"},
     )
-    records.append(
-        CheckRecord(
-            "p2_family",
-            "finite C with |vol_0(D) - vol_0(D')| <= C max-norm(D - D') over all grid pairs",
-            f"C = {render_rational(c_min)}",
-            "finite",
-            bound_holds,
-            {"grid_points": len(values), "attained_at": worst, "norm": "max_coordinate"},
-        )
-    )
-    return SuiteReport("continuity", ["p2_family"], records)
 
 
-# the suites by name, in the order `equivol verify` runs them
-_RUNNERS = {
-    "oracle": suite_oracle,
-    "homogeneity": suite_homogeneity,
-    "exponent_law": suite_exponent_law,
-    "compatibility": suite_compatibility,
-    "vanishing": suite_vanishing,
-    "monotonicity": suite_monotonicity,
-    "translation": suite_translation,
-    "continuity": suite_continuity,
+# each suite's law and scope, in the order `equivol verify` runs them
+_SUITES = {
+    "oracle": (_oracle, _every),
+    "homogeneity": (_homogeneity, _supported),
+    "exponent_law": (_exponent_law, _every),
+    "compatibility": (_compatibility, _regular),
+    "vanishing": (_vanishing, _supported),
+    "monotonicity": (_monotonicity, _supported),
+    "translation": (_translation, _regular),
+    "continuity": (_continuity, _every),
 }
-SUITE_NAMES = tuple(_RUNNERS)
+SUITE_NAMES = tuple(_SUITES)

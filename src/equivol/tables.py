@@ -1,11 +1,12 @@
 """Deterministic table emission.
 
-Identical inputs produce byte-identical files: rows are ordered
-lexicographically in (k, weight vector), rationals render as ``p/q`` in
-lowest terms (plain integer string when integral), and JSON is emitted
-with sorted keys and a fixed separator convention.  Every row emitter
-returns tuples in the order of its header; CSV writes them as they are,
-and JSON zips each with the header into an object.
+Identical inputs produce byte-identical files: rows keep the
+lexicographic (k, weight vector) order their callers pass them in (the
+emitters do not sort), rationals render as ``p/q`` in lowest terms (plain
+integer string when integral), and JSON is emitted with sorted keys and a
+fixed separator convention.  Every row emitter returns tuples in the order
+of its header; CSV writes them as they are, and JSON zips each with the
+header into an object.
 """
 
 from __future__ import annotations
@@ -39,21 +40,21 @@ class _Names(dict):
 
 
 def multiplicity_rows(s, items):
-    """(k, mu, dim) rows in lexicographic (k, weight) order.
+    """(k, mu, dim) rows, one per ((k, mu), dim) item, in the order given.
 
-    The weights of one scenario are all ints or all tuples, so the natural
-    order of the ((k, mu), dim) items is that order; `s` is not consulted.
-    Each distinct weight is rendered once, and its rows share the string.
+    Callers pass the items in lexicographic (k, weight) order, which is
+    the order of the rows; `s` is not consulted.  Each distinct weight is
+    rendered once, and its rows share the string.
     """
     names = _Names()
-    return [(k, names[mu], dim) for (k, mu), dim in sorted(items)]
+    return [(k, names[mu], dim) for (k, mu), dim in items]
 
 
 def volume_rows(pairs):
     """(mu, value, status, residue, period) rows from (mu, VolumeEstimate)
-    pairs, in weight order."""
+    pairs, in the order given; callers pass them in weight order."""
     out = []
-    for mu, est in sorted(pairs, key=lambda p: p[0]):
+    for mu, est in pairs:
         fit = ("", "") if est.fit is None else (est.fit.residue, est.fit.period)
         out.append((render_weight(mu), render_rational(est.value), est.status, *fit))
     return out

@@ -32,7 +32,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import counting, geometry
-from .counting import EngineLimit, _section_counts, section_dimensions
+from .counting import EngineLimit, section_counts, section_dimensions
 from .model import Rational, Scenario, ScenarioError
 
 EXACT = "exact"
@@ -198,7 +198,7 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
     period, width = len(levels), len(levels[0])
     cap = width - 2
     ks = [k for row in levels for k in row]
-    counts, invariants = _section_counts(s, (mu, zero), ks)
+    counts, invariants = section_counts(s, (mu, zero), ks)
     polys = []  # cap! P^cap times the polynomial of each class
     for r in range(period):
         ys = counts[r * width : (r + 1) * width]

@@ -237,7 +237,7 @@ def test_ladder_records_match_levels_built_alone(kind, data):
     counting._packed.clear()
     for k in data.draw(st.lists(st.sampled_from(ks), max_size=3)):
         full_weight_distribution(s, k)
-    assert counting._section_counts(s, mus, ks) == expect, ks
+    assert counting.section_counts(s, mus, ks) == expect, ks
     assert [section_dimensions(s, mu, ks) for mu in mus] == expect, ks
 
 

@@ -1,5 +1,6 @@
 """Verification suites over the shipped corpus."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import equivol
-from equivol import suites
+from equivol import su2_scenario, suites
 from equivol.suites import SUITE_NAMES, run_suite
 
 
@@ -31,6 +32,62 @@ def test_reports_carry_rerun_data(reports):
             assert r.scenario and r.claim
             d = r.to_dict()
             assert set(d) == {"scenario", "claim", "lhs", "rhs", "passed", "witness"}
+
+
+# per suite, the scenarios that get records and how many, in record order;
+# the scope of each suite and the order of its checks on the corpus
+SCOPES = {
+    "oracle": {
+        "p1_hyperplane": 18, "p1_square": 18, "p2_circle": 18, "p3_semistable": 18,
+        "p3_last_coordinate": 18, "p1_unstable": 18, "p2_trivial": 18, "p3_balanced": 18,
+        "p2_skew": 18, "p1p1_diag": 18, "p2p1_product": 18, "su2_p3": 18, "su2_p1": 18, "su2_p5": 18,
+    },
+    "homogeneity": {
+        "p1_hyperplane": 16, "p1_square": 16, "p2_circle": 16, "p3_semistable": 6,
+        "p3_last_coordinate": 6, "p1_unstable": 6, "p3_balanced": 16, "p2_skew": 16,
+        "p1p1_diag": 56, "p2p1_product": 6, "su2_p3": 12, "su2_p1": 6, "su2_p5": 12,
+    },
+    "exponent_law": {
+        "p1_hyperplane": 12, "p1_square": 12, "p2_circle": 12, "p3_semistable": 12,
+        "p3_last_coordinate": 12, "p2_trivial": 12, "p3_balanced": 12, "p2_skew": 12,
+        "p1p1_diag": 12, "p2p1_product": 12, "su2_p3": 12, "su2_p5": 12,
+    },
+    "compatibility": {
+        "p1_hyperplane": 14, "p1_square": 14, "p2_circle": 14, "p3_balanced": 14,
+        "p2_skew": 14, "p1p1_diag": 26, "su2_p3": 8, "su2_p5": 8,
+    },
+    "vanishing": {
+        "p1_hyperplane": 1, "p1_square": 1, "p2_circle": 1, "p3_semistable": 1,
+        "p3_last_coordinate": 1, "p1_unstable": 14, "p2_trivial": 1, "p3_balanced": 1,
+        "p2_skew": 1, "p1p1_diag": 1, "p2p1_product": 1, "su2_p3": 1, "su2_p1": 8, "su2_p5": 1,
+    },
+    "monotonicity": {
+        "p1_hyperplane": 7, "p1_square": 7, "p2_circle": 7, "p3_semistable": 7,
+        "p3_last_coordinate": 7, "p1_unstable": 7, "p2_trivial": 7, "p3_balanced": 7,
+        "p2_skew": 7, "p1p1_diag": 25, "p2p1_product": 7, "su2_p3": 4, "su2_p5": 4,
+    },
+    "translation": {
+        "p1_hyperplane": 9, "p1_square": 9, "p2_circle": 9, "p3_balanced": 9,
+        "p2_skew": 9, "p1p1_diag": 25, "su2_p3": 5, "su2_p5": 5,
+    },
+    "continuity": {"p2_family": 31},
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_scope_on_corpus(reports, corpus, name):
+    rep = reports[name]
+    runs = [(label, len(list(group))) for label, group in itertools.groupby(r.scenario for r in rep.records)]
+    assert runs == list(SCOPES[name].items())
+    assert rep.scenarios == (["p2_family"] if name == "continuity" else [label for label, _ in corpus])
+
+
+def test_geometry_suites_skip_unsupported_scenarios():
+    # two SU(2) factors lie outside the geometry: no check runs, none fails
+    pair = ("su2_two_factors", su2_scenario([[1], [1]], [1, 1]))
+    for name in ("homogeneity", "compatibility", "vanishing", "monotonicity", "translation"):
+        rep = run_suite(name, [pair])
+        assert (rep.scenarios, rep.records, rep.passed) == (["su2_two_factors"], [], True)
 
 
 def test_corpus_covers_all_classes(corpus):
@@ -85,11 +142,14 @@ def test_oracle_records_broken_conservation(monkeypatch, p1_hyperplane):
     assert (bad[0].lhs, bad[0].rhs) == ("1", "2")
 
 
-def test_oracle_suite_under_optimized_python():
+def test_verify_under_optimized_python():
+    # every suite passes with asserts stripped, so no engine invariant rests on one
     src = str(Path(equivol.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "equivol.cli", "verify", "--suite", "oracle"],
+        [sys.executable, "-O", "-m", "equivol.cli", "verify"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    totals = {name: sum(runs.values()) for name, runs in SCOPES.items()}
+    assert proc.stdout.splitlines() == [f"suite {name}: {n}/{n} checks passed" for name, n in totals.items()]

@@ -67,7 +67,7 @@ def test_to_csv_single_field():
 
 
 def test_multiplicity_rows_share_rendered_weights():
-    rows = tables.multiplicity_rows(None, [((1, (0, 1)), 2), ((0, (0, 1)), 1), ((1, (-1, 0)), 3)])
+    rows = tables.multiplicity_rows(None, [((0, (0, 1)), 1), ((1, (-1, 0)), 3), ((1, (0, 1)), 2)])
     assert rows == [
         (0, "(0,1)", 1),
         (1, "(-1,0)", 3),

@@ -272,7 +272,7 @@ def test_fit_levels_budget_guard(monkeypatch):
 def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
     # every class carries one sample beyond those it is interpolated from;
     # shifting the first sample at mu = 1 by one must be caught, not absorbed
-    true_counts = volumes._section_counts
+    true_counts = volumes.section_counts
     shifted = []
 
     def perturbed(s, mus, ks):
@@ -282,7 +282,7 @@ def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
             rows[0][0] += 1
         return rows
 
-    monkeypatch.setattr(volumes, "_section_counts", perturbed)
+    monkeypatch.setattr(volumes, "section_counts", perturbed)
     with pytest.raises(RuntimeError, match="fit no polynomial"):
         equivariant_volume(p2_circle, 1)
     assert len(shifted) == 1
