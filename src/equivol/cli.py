@@ -12,7 +12,8 @@
 Every command is a pure function of the scenario document and flags;
 repeated runs emit byte-identical tables.  Volumes come from a certified
 interpolation with no horizon to set.  Exit codes: 0 success, 1 check
-failure, 2 input error or an exceeded engine limit (EngineLimit).
+failure, 2 input error (including an --out path that cannot be written) or
+an exceeded engine limit (EngineLimit).
 """
 
 from __future__ import annotations
@@ -72,13 +73,23 @@ def _mus(args, s: Scenario):
     return _parse_mu_range(args.mu_range, s) if args.mu_range else s.default_mus()
 
 
+def _write(text: str, path) -> None:
+    """tables.emit, with a path that cannot be written as an input error."""
+    try:
+        tables.emit(text, path)
+    except OSError as exc:
+        if path is None:  # stdout itself failed: not a bad flag
+            raise
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(rows, fieldnames, args):
     """Rows are tuples in `fieldnames` order; JSON writes one object per row."""
     if args.format == "json":
         text = tables.to_json([dict(zip(fieldnames, row)) for row in rows])
     else:
         text = tables.to_csv(rows, fieldnames)
-    tables.emit(text, args.out)
+    _write(text, args.out)
 
 
 def cmd_multiplicity(args) -> int:
@@ -122,7 +133,7 @@ def cmd_exponent(args) -> int:
     text = tables.to_json(payload) if args.format == "json" else "\n".join(
         f"{k}: {v}" for k, v in payload.items()
     ) + "\n"
-    tables.emit(text, args.out)
+    _write(text, args.out)
     return 0
 
 
@@ -158,7 +169,7 @@ def cmd_classify(args) -> int:
             r = geometry.vanishing_certificate(s, mu)
             lines.append(f"  mu={render_weight(mu)}: r_mu={r}")
     text = "\n".join(lines) + "\n"
-    tables.emit(text, args.out)
+    _write(text, args.out)
     return 0
 
 
@@ -193,7 +204,7 @@ def cmd_verify(args) -> int:
         print(rep.summary())
     if args.out or args.format == "json":
         payload = [r.to_dict() for r in reports]
-        tables.emit(tables.to_json(payload), args.out)
+        _write(tables.to_json(payload), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -30,12 +30,16 @@ The ladder.  One recurrence up to degree M yields every row h_0..h_M, so
 :func:`_ladder` runs each factor's recurrence once, up to its last level,
 and reads level k from row k * d_j, with slots sized by the total
 dimension at the last level.  :func:`isotypic_table` takes every level
-0..k_max from one ladder and caches nothing.  Point reads go through one
-store: for each scenario's weight layout (its torus weights reduced by
-their steps), a dict of levels -> packed products (:class:`_Packed`).  A
+0..k_max from one ladder and caches nothing.  Point reads go through the
+scenario's own store, ``Scenario.level_store``: a dict of factor degrees
+-> packed products (:class:`_Packed`), laid out by the scenario's torus
+weights reduced by their steps.  The counts depend on the space alone, so
+every scenario that ``model.with_bundle`` derives from another (its
+tensor powers, its products with other bundles) holds the same store.  A
 read collects the levels it needs that are not stored yet, builds them in
 one ladder sorted by k, stores them and then reads the slots; a stored
-level is never rebuilt.  The twist never enters the store but is applied
+level is never rebuilt, also after CELL_BUDGET falls, since the budget
+guards new work only.  The twist never enters the store but is applied
 as an offset when a slot is read.  :func:`section_dimensions` reads one
 weight at many levels in one call (a wrapper of :func:`section_counts`,
 which reads several weights at the same levels: a volume fit reads mu and
@@ -188,24 +192,15 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
         yield _Packed(lo, steps, spans, nbytes, packed.to_bytes(prod(spans) * nbytes, _ORDER))
 
 
-# The engine's one cache: per weight layout, the packed products stored by
-# tuple of levels.  A layout depends on the torus weights alone, so
-# scenarios that share them (an SU(2) block and the circle action with its
-# weights) share every level.  The budget is a guard, not an input: a level
-# stored before CELL_BUDGET changes is still served.  Clear it with
-# ``_packed.clear()``.
-_packed: dict[WeightLayout, dict[tuple[int, ...], _Packed]] = {}
-
-
-def _records(layout: WeightLayout, levels: list[tuple[int, ...]]) -> list[_Packed]:
-    """The packed products of `layout` at each tuple of `levels`, in order.
-    The tuples not stored yet are built in one :func:`_ladder`, sorted by k
-    (each is k * d_j), and stored first."""
-    store = _packed.setdefault(layout, {})
-    missing = sorted({lv for lv in levels if lv not in store})
+def _records(s: Scenario, levels: list[tuple[int, ...]]) -> list[_Packed]:
+    """The packed products of the factors of `s` at each tuple of factor
+    degrees in `levels`, in order, read from ``s.level_store``.  The tuples
+    not stored yet are built in one :func:`_ladder`, sorted by k (each is
+    k * d_j), and stored first."""
+    missing = sorted({lv for lv in levels if lv not in s.level_store})
     if missing:
-        store.update(zip(missing, _ladder(layout, missing)))
-    return [store[lv] for lv in levels]
+        s.level_store.update(zip(missing, _ladder(s.weight_layout, missing)))
+    return [s.level_store[lv] for lv in levels]
 
 
 def _slots(p: _Packed) -> tuple[int, ...]:
@@ -273,7 +268,7 @@ def section_counts(s: Scenario, mus, ks) -> list[list[int]]:
         reads.append((vec, (vec[0] + 2,) if s.group.is_su2 else None, s.dim_irrep(mu)))
     ks = list(ks)
     twist = s.twist_vec
-    records = _records(s.weight_layout, [_level_degrees(s, k) for k in ks])
+    records = _records(s, [_level_degrees(s, k) for k in ks])
     out = [[] for _ in reads]
     for k, p in zip(ks, records):
         for counts, (vec, above, dim) in zip(out, reads):
@@ -304,7 +299,7 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    (p,) = _records(s.weight_layout, [_level_degrees(s, k)])
+    (p,) = _records(s, [_level_degrees(s, k)])
     return dict(zip(*_multiplicities(p, k, s.twist_vec, s.group.is_su2)))
 
 

@@ -145,8 +145,8 @@ class Scenario:
     @cached_property
     def weight_layout(self) -> WeightLayout:
         """The torus weights reduced by each coordinate's common step, built
-        once per scenario; the packed counts are laid out and cached under
-        it, so scenarios with equal torus weights share them."""
+        once per scenario; the packed counts in :attr:`level_store` are laid
+        out by it."""
         wss = self.torus_weights
         mins = tuple(tuple(map(min, zip(*ws))) for ws in wss)
         steps = tuple(
@@ -163,6 +163,15 @@ class Scenario:
         scenario: the fit's period and walls, the generic stabilizer and
         the critical values all read it."""
         return column_lattice(self.torus_weights)
+
+    @cached_property
+    def level_store(self) -> dict:
+        """The packed weight counts of the factors, by tuple of factor
+        degrees (k * d_j at level k), as ``counting`` builds them.  They
+        depend on the space alone, so :func:`with_bundle` hands this one
+        dict to every scenario it derives from this one; a scenario parsed
+        on its own starts with an empty store."""
+        return {}
 
     def weight_key(self, vec: tuple[int, ...] | int):
         """Public form of a weight: plain int when 1-dimensional."""
@@ -277,18 +286,20 @@ def tensor_product(a: LinearizedBundle, b: LinearizedBundle) -> LinearizedBundle
 
 
 def scenario_power(s: Scenario, p: int) -> Scenario:
-    """`s` with the bundle L^p.  The torus weights, the weight layout and
-    the column lattice do not depend on the bundle, so those cached on `s`
-    carry over."""
-    out = Scenario(s.group, s.factors, tensor_power(s.bundle, p))
-    for name in ("torus_weights", "weight_layout", "column_lattice"):
-        if name in s.__dict__:
-            out.__dict__[name] = s.__dict__[name]
-    return out
+    """`s` with the bundle L^p, through :func:`with_bundle`."""
+    return with_bundle(s, tensor_power(s.bundle, p))
 
 
 def with_bundle(s: Scenario, bundle: LinearizedBundle) -> Scenario:
-    return validate_scenario(Scenario(s.group, s.factors, bundle))
+    """`s` with another bundle on the same space, validated through the
+    document form.  The level store, and whichever of the torus weights,
+    the weight layout and the column lattice `s` has built, depend on the
+    space alone: the new scenario holds the very same objects, so every
+    scenario derived from `s` reads and fills one store."""
+    out = validate_scenario(Scenario(s.group, s.factors, bundle))
+    names = [n for n in ("torus_weights", "weight_layout", "column_lattice") if n in s.__dict__]
+    out.__dict__.update({n: s.__dict__[n] for n in names}, level_store=s.level_store)
+    return out
 
 
 def weight_of_monomial(s: Scenario, exponents, k: int | None = None):

@@ -227,10 +227,8 @@ def _vanishing(s):
 def _invariantly_effective_bundle(s: Scenario):
     """Small bundle A on the same space with a nonzero invariant section."""
     nf = len(s.factors)
-    g = 0 if s.group.is_su2 else s.group.dim
-    degree_choices = range(1, 4)
-    twist_choices = [()] if s.group.is_su2 else list(product(range(-3, 4), repeat=g))
-    for dmax in degree_choices:
+    twist_choices = [()] if s.group.is_su2 else list(product(range(-3, 4), repeat=s.group.dim))
+    for dmax in range(1, 4):
         for degs in product(range(1, dmax + 1), repeat=nf):
             if max(degs) != dmax:
                 continue
@@ -304,8 +302,11 @@ def _translation(s):
 
 def continuity_family():
     """The rank-one family on P^2 with weights (-1,1,1): bundles (d, c) for
-    d in 1..6 and c in -3..3."""
-    return [((d, c), circle_scenario([[-1, 1, 1]], [d], twist=c)) for d in range(1, 7) for c in range(-3, 4)]
+    d in 1..6 and c in -3..3, each derived from one base scenario, so the
+    members share its level store and its column lattice."""
+    base = circle_scenario([[-1, 1, 1]], [1])
+    base.column_lattice  # built here, once for the whole family
+    return [((d, c), with_bundle(base, LinearizedBundle((d,), (c,)))) for d in range(1, 7) for c in range(-3, 4)]
 
 
 def _continuity(family):

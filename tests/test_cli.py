@@ -198,6 +198,24 @@ def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
     assert_one_error_line(*run(capsys, *argv), cause)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--scenario", P2, "--k-max", "2"],
+        ["volume", "--scenario", P1, "--mu", "0"],
+        ["verify", "--suite", "continuity"],
+    ],
+    ids=["table", "volume", "verify"],
+)
+@pytest.mark.parametrize("target, reason", [("missing/x.csv", "No such file or directory"), (".", "Is a directory")])
+def test_unwritable_out_is_input_error(tmp_path, capsys, argv, target, reason):
+    out = tmp_path / target
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, err) == (2, f"error: cannot write {out}: {reason}\n")
+    # verify prints its summaries before it writes the report
+    assert argv[0] == "verify" or stdout == ""
+
+
 def test_empty_table_header_only(tmp_path, capsys):
     # a weight outside the reachable range yields a zero row, never a crash
     code, out, _ = run(capsys, "multiplicity", "--scenario", P1, "--k", "2", "--mu", "9")

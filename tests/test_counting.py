@@ -17,6 +17,7 @@ import pytest
 
 from equivol import (
     EngineLimit,
+    LinearizedBundle,
     ScenarioError,
     brute_force_oracle,
     circle_scenario,
@@ -24,10 +25,13 @@ from equivol import (
     full_weight_distribution,
     isotypic_table,
     scenario_from_dict,
+    scenario_power,
     section_dimension,
     section_dimensions,
     su2_scenario,
     total_dimension,
+    validate_scenario,
+    with_bundle,
 )
 from equivol.cli import main
 from equivol.counting import conservation_sides
@@ -183,10 +187,11 @@ def test_isotypic_table_matches_levels_on_corpus(corpus):
 
 
 def test_isotypic_table_leaves_packed_cache_alone(corpus):
-    counting._packed.clear()
-    for _, s in corpus:
-        isotypic_table(s, 9)
-    assert counting._packed == {}
+    # a freshly parsed scenario starts with an empty level store
+    for name, s in corpus:
+        fresh = validate_scenario(s)
+        isotypic_table(fresh, 9)
+        assert fresh.level_store == {}, name
 
 
 def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
@@ -202,14 +207,14 @@ def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
 def test_packed_counts_divide_out_the_weight_step(p1_hyperplane, su2_p3):
     # weights (1, -1) move in steps of 2: level 4 spans 5 slots, not 9, and
     # the decoded counts keep the zeros between the weights
-    (p,) = counting._records(p1_hyperplane.weight_layout, [(4,)])
+    (p,) = counting._records(p1_hyperplane, [(4,)])
     assert (p.lo, p.steps, p.spans) == ((-4,), (2,), (5,))
     assert [section_dimension(p1_hyperplane, 2, mu) for mu in range(-2, 3)] == [1, 0, 1, 0, 1]
     assert full_weight_distribution(su2_p3, 1) == {1: 2}
     assert section_dimension(p1_hyperplane, 4, 1) == 0
     # a constant coordinate keeps step 1 and span 1
     s = circle_scenario([[(2, 5), (-2, 5)], [(0, 5), (4, 5)]], [1, 1])
-    (p,) = counting._records(s.weight_layout, [(3, 3)])
+    (p,) = counting._records(s, [(3, 3)])
     assert (p.lo, p.steps, p.spans) == ((-6, 30), (4, 1), (7, 1))
     assert_oracle_agrees(s, range(0, 4))
 
@@ -280,18 +285,19 @@ def test_oracle_budget_guard(p2_circle, corpus, monkeypatch):
 
 
 def test_one_cell_budget(p2_circle, p1p1_diag, monkeypatch):
-    counting._packed.clear()
-    cached = full_weight_distribution(p2_circle, 3)
+    # freshly parsed scenarios, whose level stores start empty
+    s, square = validate_scenario(p2_circle), validate_scenario(p1p1_diag)
+    cached = full_weight_distribution(s, 3)
     monkeypatch.setattr(counting, "CELL_BUDGET", 10)
     with pytest.raises(EngineLimit, match="budget 10"):
-        section_dimensions(p2_circle, 0, [4])
+        section_dimensions(s, 0, [4])
     with pytest.raises(EngineLimit, match="budget 10"):
-        full_weight_distribution(p1p1_diag, 2)
+        full_weight_distribution(square, 2)
     with pytest.raises(EngineLimit, match="budget 10"):
-        isotypic_table(p2_circle, 3)
+        isotypic_table(s, 3)
     # the budget guards new work only: a level cached before it fell is served
-    assert full_weight_distribution(p2_circle, 3) == cached
-    assert section_dimensions(p2_circle, 1, [3]) == [cached[1]]
+    assert full_weight_distribution(s, 3) == cached
+    assert section_dimensions(s, 1, [3]) == [cached[1]]
 
 
 # a rank-2 factor whose coordinate weights all coincide, beside one that varies
@@ -349,19 +355,42 @@ def test_section_dimensions_rejects_bad_input(su2_p3, p1p1_diag, p2_circle):
         section_dimensions(p1p1_diag, 0, [2])
 
 
-def stored_records():
-    """Every stored packed product, as (layout, levels, identity)."""
-    return [(layout, lv, id(p)) for layout, store in counting._packed.items() for lv, p in store.items()]
+def stored_records(s):
+    """Every packed product in the level store of `s`, as (levels, record)."""
+    return list(s.level_store.items())
 
 
-def test_packed_counts_are_shared_by_equal_torus_weights(p1_hyperplane):
-    # SU(2) on P(V) has torus weights (1, -1), as does p1_hyperplane: the
-    # SU(2) reading at level 5 finds the level the circle action built
+def assert_same_records(got, built):
+    assert [lv for lv, _ in got] == [lv for lv, _ in built]
+    assert all(a is b for (_, a), (_, b) in zip(got, built))
+
+
+def test_packed_counts_are_shared_along_a_lineage(p1_hyperplane):
+    # the tensor powers of a scenario, and the scenario with any other
+    # bundle on its space, hold its very level store, built or not
+    s = validate_scenario(p1_hyperplane)
+    cube = scenario_power(s, 3)
+    twisted = with_bundle(s, LinearizedBundle((2,), (1,)))
+    assert cube.level_store is s.level_store
+    assert twisted.level_store is s.level_store
+    assert scenario_power(cube, 2).level_store is s.level_store
+    # a level read through a derived scenario is not rebuilt for `s`:
+    # level 1 of L^3 is level 3 of L, and level 1 of O(2) twisted by 1
+    # is level 2 of L, its weights moved by 1
+    assert section_dimension(cube, 1, 1) == 1
+    assert section_dimension(twisted, 1, 3) == 1
+    built = stored_records(s)
+    assert [lv for lv, _ in built] == [(3,), (2,)]
+    assert [section_dimension(s, 3, mu) for mu in (-3, -1, 1, 3)] == [1, 1, 1, 1]
+    assert section_dimension(s, 2, 2) == 1
+    assert_same_records(stored_records(s), built)
+    # an equal scenario parsed on its own, or an SU(2) action with the same
+    # torus weights, starts with its own empty store
+    twin = validate_scenario(s)
+    assert twin == s and twin.level_store is not s.level_store and twin.level_store == {}
     su2_p1 = su2_scenario([[1]], [1])
-    counting._packed.clear()
-    section_dimension(p1_hyperplane, 5, 1)
-    built = stored_records()
-    assert len(built) == 1
+    assert su2_p1.weight_layout == s.weight_layout
     assert section_dimension(su2_p1, 5, 1) == 0  # H^0(O(5)) = V_5
     assert section_dimension(su2_p1, 5, 5) == 6
-    assert stored_records() == built
+    assert list(su2_p1.level_store) == [(5,)]
+    assert_same_records(stored_records(s), built)

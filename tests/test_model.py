@@ -16,6 +16,7 @@ from equivol import (
     tensor_product,
     validate_scenario,
     weight_of_monomial,
+    with_bundle,
 )
 
 
@@ -194,8 +195,8 @@ def test_weight_layout(p1p1_diag, su2_p3):
     )
     s = circle_scenario([[(3, 7), (-1, 7), (1, 7)]], [1])
     assert s.weight_layout == (((-1, 7),), (2, 1), (((2, 0), (0, 0), (1, 0)),), ((2, 0),))
-    # built once: the packed-count cache holds one key per scenario, and
-    # the tensor powers of a scenario share it
+    # built once per scenario, and handed on with the level store, which
+    # it lays out, to the tensor powers of the scenario
     assert su2_p3.weight_layout is su2_p3.weight_layout
     # so is the column lattice, which the fit, the generic stabilizer and
     # the stability class read
@@ -205,6 +206,21 @@ def test_weight_layout(p1p1_diag, su2_p3):
     assert cube.torus_weights is p1p1_diag.torus_weights
     assert scenario_power(p1p1_diag, 3).column_lattice is p1p1_diag.column_lattice
     assert cube.bundle.degrees == (3, 3)
+
+
+def test_with_bundle_validates_and_shares_the_space(p1p1_diag):
+    s = validate_scenario(p1p1_diag)
+    with pytest.raises(ScenarioError, match="bundle.degrees"):
+        with_bundle(s, LinearizedBundle((1,), (0, 0)))
+    with pytest.raises(ScenarioError, match="bundle.twist"):
+        with_bundle(s, LinearizedBundle((1, 1), (0,)))
+    lattice = s.column_lattice
+    t = with_bundle(s, LinearizedBundle((1, 2), (1, 0)))
+    assert t.bundle == LinearizedBundle((1, 2), (1, 0))
+    assert t.column_lattice is lattice and t.level_store is s.level_store
+    # what `s` has not built, the new scenario builds for itself
+    assert "weight_layout" not in t.__dict__
+    assert t.weight_layout == s.weight_layout
 
 
 def test_dim_irrep(p2_circle, p1p1_diag, su2_p3):

@@ -211,9 +211,9 @@ LADDER_ORACLE_MONOMIALS = 20_000
 
 
 def _built_alone(s, k):
-    """The level-k distribution from a record built alone in an empty store."""
-    counting._packed.clear()
-    return full_weight_distribution(s, k)
+    """The level-k distribution from a record built alone, in the empty
+    level store of a freshly parsed copy of `s`."""
+    return full_weight_distribution(validate_scenario(s), k)
 
 
 @pytest.mark.parametrize("kind", sorted(LADDER_KINDS))
@@ -232,13 +232,13 @@ def test_ladder_records_match_levels_built_alone(kind, data):
             assert dist == brute_force_oracle(s, k), k
     mus = sorted({mu for dist in dists.values() for mu in dist})
     expect = [[dists[k].get(mu, 0) * s.dim_irrep(mu) for k in ks] for mu in mus]
-    counting._packed.clear()
-    assert [section_dimensions(s, mu, ks) for mu in mus] == expect, ks
-    counting._packed.clear()
+    fresh = validate_scenario(s)
+    assert [section_dimensions(fresh, mu, ks) for mu in mus] == expect, ks
+    fresh = validate_scenario(s)
     for k in data.draw(st.lists(st.sampled_from(ks), max_size=3)):
-        full_weight_distribution(s, k)
-    assert counting.section_counts(s, mus, ks) == expect, ks
-    assert [section_dimensions(s, mu, ks) for mu in mus] == expect, ks
+        full_weight_distribution(fresh, k)
+    assert counting.section_counts(fresh, mus, ks) == expect, ks
+    assert [section_dimensions(fresh, mu, ks) for mu in mus] == expect, ks
 
 
 @st.composite

@@ -307,9 +307,8 @@ def count_factor_rows(monkeypatch) -> list:
 
 
 def test_sym5_fit_reads_its_levels_from_one_ladder(monkeypatch):
-    s = scenario_from_dict(SYM5)
+    s = scenario_from_dict(SYM5)  # freshly parsed: its level store is empty
     runs = count_factor_rows(monkeypatch)
-    counting._packed.clear()
     first = equivariant_volume(s, 0)
     assert runs == [722]
     got = [first] + [equivariant_volume(s, mu) for mu in range(1, 7)]
