@@ -10,6 +10,7 @@ from .model import (
     Rational,
     Scenario,
     ScenarioError,
+    Space,
     UnsupportedScenario,
     circle_scenario,
     scenario_from_dict,

@@ -65,7 +65,9 @@ def _parse_mu_range(text: str, s: Scenario):
         raise InputError(f"cannot parse range {text!r}; expected a..b") from exc
     if lo > hi:
         raise InputError(f"empty range {text!r}")
-    return s.weights_in_box(lo, hi)
+    if not (mus := s.weights_in_box(lo, hi)):  # su2 weights start at 0
+        raise InputError(f"no dominant weight in range {text!r}")
+    return mus
 
 
 def _mus(args, s: Scenario):

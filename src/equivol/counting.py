@@ -31,11 +31,12 @@ The ladder.  One recurrence up to degree M yields every row h_0..h_M, so
 and reads level k from row k * d_j, with slots sized by the total
 dimension at the last level.  :func:`isotypic_table` takes every level
 0..k_max from one ladder and caches nothing.  Point reads go through the
-scenario's own store, ``Scenario.level_store``: a dict of factor degrees
--> packed products (:class:`_Packed`), laid out by the scenario's torus
-weights reduced by their steps.  The counts depend on the space alone, so
-every scenario that ``model.with_bundle`` derives from another (its
-tensor powers, its products with other bundles) holds the same store.  A
+space's store, ``Space.level_store``: a dict of factor degrees -> packed
+products (:class:`_Packed`), laid out by the space's torus weights
+reduced by their steps (``Space.weight_layout``).  The counts depend on
+the space alone, and every scenario that ``model.with_bundle`` derives
+from another (its tensor powers, its products with other bundles) is on
+the very same ``Space``, so they all read one store.  A
 read collects the levels it needs that are not stored yet, builds them in
 one ladder sorted by k, stores them and then reads the slots; a stored
 level is never rebuilt, also after CELL_BUDGET falls, since the budget
@@ -194,13 +195,14 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
 
 def _records(s: Scenario, levels: list[tuple[int, ...]]) -> list[_Packed]:
     """The packed products of the factors of `s` at each tuple of factor
-    degrees in `levels`, in order, read from ``s.level_store``.  The tuples
-    not stored yet are built in one :func:`_ladder`, sorted by k (each is
-    k * d_j), and stored first."""
-    missing = sorted({lv for lv in levels if lv not in s.level_store})
+    degrees in `levels`, in order, read from the space's level store.  The
+    tuples not stored yet are built in one :func:`_ladder`, sorted by k
+    (each is k * d_j), and stored first."""
+    store = s.space.level_store
+    missing = sorted({lv for lv in levels if lv not in store})
     if missing:
-        s.level_store.update(zip(missing, _ladder(s.weight_layout, missing)))
-    return [s.level_store[lv] for lv in levels]
+        store.update(zip(missing, _ladder(s.space.weight_layout, missing)))
+    return [store[lv] for lv in levels]
 
 
 def _slots(p: _Packed) -> tuple[int, ...]:
@@ -335,7 +337,7 @@ def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     twist, su2 = s.twist_vec, s.group.is_su2
     ladder = [_level_degrees(s, k) for k in range(k_max + 1)]
     levels = []
-    for k, p in enumerate(_ladder(s.weight_layout, ladder)):
+    for k, p in enumerate(_ladder(s.space.weight_layout, ladder)):
         mus, ns = _multiplicities(p, k, twist, su2)
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
             ns = [n * (mu + 1) for mu, n in zip(mus, ns)]
@@ -377,7 +379,7 @@ def brute_force_oracle(s: Scenario, k: int) -> dict:
     r = s.group.torus_rank
     shift = tuple(k * c for c in s.bundle.twist)
     factor_weight_lists = []
-    for f, ws, d in zip(s.factors, s.torus_weights, s.bundle.degrees):
+    for f, ws, d in zip(s.factors, s.space.torus_weights, s.bundle.degrees):
         lst = []
         for alpha in _compositions(k * d, f.dim + 1):
             lst.append(tuple(sum(a * w[i] for a, w in zip(alpha, ws)) for i in range(r)))

@@ -17,7 +17,7 @@ Stability of a bundle is read off the position of the origin:
 
 A critical value is the image of a stratum whose coordinate weights span
 less than the torus, and by Caratheodory such an image lies in the cone
-of a wall of the column lattice (``Scenario.column_lattice``): the origin
+of a wall of the column lattice (``Space.column_lattice``): the origin
 is critical exactly when the stabilizer is infinite or the ray
 b1 = (degrees, -twist) lies in the closed cone of rank A - 1 independent
 columns (e_j, w).  Images of fixed points, edges of the image and
@@ -207,7 +207,7 @@ def moment_image(s: Scenario) -> MomentImage:
         lo = d if sym == (1,) else 0
         return MomentImage(rank=1, vertices=((lo,), (d * max(sym),)), dominant=True)
     image = (s.bundle.twist,)
-    for ws, d in zip(s.torus_weights, s.bundle.degrees):
+    for ws, d in zip(s.space.torus_weights, s.bundle.degrees):
         image = _hull([tuple(x + d * y for x, y in zip(p, w)) for p in image for w in _hull(ws)])
     return MomentImage(rank=s.group.dim, vertices=image)
 
@@ -235,7 +235,7 @@ def classify_stability(s: Scenario) -> StabilityReport:
         return StabilityReport(UNSTABLE, img, OUTSIDE)
     if all(len(set(f.weights)) == 1 for f in s.factors):
         return StabilityReport(TRIVIAL, img, ON_WALL)
-    lat = s.column_lattice
+    lat = s.space.column_lattice
     if lat.stabilizer is None or lat.on_wall(lat.cut(s.ray)):
         return StabilityReport(BOUNDARY, img, ON_WALL)
     return StabilityReport(REGULAR, img, INSIDE)
@@ -282,7 +282,7 @@ class StabilizerData:
 
 def generic_stabilizer(s: Scenario) -> StabilizerData:
     _require_supported(s, "stabilizers")
-    lattice = s.column_lattice.stabilizer
+    lattice = s.space.column_lattice.stabilizer
     if lattice is None:
         return StabilizerData(finite=False, order=None)
     order = prod(col[i] for i, col in enumerate(lattice))
@@ -315,7 +315,7 @@ def bundle_fiber_character(s: Scenario, stab: StabilizerData) -> tuple[int, ...]
     """Residue of the character by which K acts on the fiber of L at a
     general point: sum_j d_j * w_{j,0} + c restricted to K."""
     base = s.twist_vec
-    for ws, d in zip(s.torus_weights, s.bundle.degrees):
+    for ws, d in zip(s.space.torus_weights, s.bundle.degrees):
         # well-definedness: every coordinate choice must give the same residue
         if not all(stab.contains(tuple(d * (x - y) for x, y in zip(w, ws[0]))) for w in ws):
             raise RuntimeError("fiber character depends on the reference coordinate")

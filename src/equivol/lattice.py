@@ -1,10 +1,11 @@
-"""The column lattice of a scenario's weight matrix.
+"""The column lattice of a space's weight matrix.
 
 The matrix A has one column (e_j, w) per homogeneous coordinate: the
 indicator of its factor j, then its torus weight w.  The sections of L^k
 of weight mu are the alpha >= 0 with A alpha = k b1 + (0, mu), where
 b1 = (degrees, -twist) is ``Scenario.ray``.  Everything read off A is
-built here once per scenario (``Scenario.column_lattice``):
+built here once per space (``Space.column_lattice``), and every bundle on
+the space reads it:
 
 * an echelon basis of the lattice the columns span.  Its pivot rows are a
   maximal independent set of A's rows.  Eliminating the factor rows leaves

@@ -113,10 +113,69 @@ class WeightLayout(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Space:
+    """The group and the product of projective factors it acts on.
+
+    What the space alone determines is built here once, as cached
+    properties, and every scenario on this space reads the same objects:
+    :func:`with_bundle` keeps the space and changes only the bundle.
+    Equality and hashing are by value; a space parsed on its own starts
+    with nothing built and an empty level store."""
+
     group: GroupSpec
     factors: tuple[ProjectiveFactor, ...]
+
+    @cached_property
+    def torus_weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each factor's torus weight vectors."""
+        return tuple(f.torus_weights() for f in self.factors)
+
+    @cached_property
+    def weight_layout(self) -> WeightLayout:
+        """The torus weights reduced by each coordinate's common step; the
+        packed counts in :attr:`level_store` are laid out by it."""
+        wss = self.torus_weights
+        mins = tuple(tuple(map(min, zip(*ws))) for ws in wss)
+        steps = tuple(
+            gcd(*[w[i] - a[i] for ws, a in zip(wss, mins) for w in ws]) or 1 for i in range(len(mins[0]))
+        )
+        reduced = tuple(
+            tuple(tuple((x - b) // g for x, b, g in zip(w, a, steps)) for w in ws) for ws, a in zip(wss, mins)
+        )
+        return WeightLayout(mins, steps, reduced, tuple(tuple(map(max, zip(*ws))) for ws in reduced))
+
+    @cached_property
+    def column_lattice(self) -> ColumnLattice:
+        """The lattice of the weight matrix A's columns: the fit's period
+        and walls, the generic stabilizer and the critical values all read
+        it."""
+        return column_lattice(self.torus_weights)
+
+    @cached_property
+    def level_store(self) -> dict:
+        """The packed weight counts of the factors, by tuple of factor
+        degrees (k * d_j at level k), as ``counting`` builds them.  They
+        depend on the space alone, so every bundle on it reads and fills
+        this one dict."""
+        return {}
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A linearized bundle on a space.  ``group`` and ``factors`` read the
+    space's own; what else the space determines is read as
+    ``s.space.<name>``."""
+
+    space: Space
     bundle: LinearizedBundle
+
+    @property
+    def group(self) -> GroupSpec:
+        return self.space.group
+
+    @property
+    def factors(self) -> tuple[ProjectiveFactor, ...]:
+        return self.space.factors
 
     @property
     def dim(self) -> int:
@@ -136,42 +195,6 @@ class Scenario:
     @property
     def negative_quotient(self) -> bool:
         return self.quotient_degree < 0
-
-    @cached_property
-    def torus_weights(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each factor's torus weight vectors, built once per scenario."""
-        return tuple(f.torus_weights() for f in self.factors)
-
-    @cached_property
-    def weight_layout(self) -> WeightLayout:
-        """The torus weights reduced by each coordinate's common step, built
-        once per scenario; the packed counts in :attr:`level_store` are laid
-        out by it."""
-        wss = self.torus_weights
-        mins = tuple(tuple(map(min, zip(*ws))) for ws in wss)
-        steps = tuple(
-            gcd(*[w[i] - a[i] for ws, a in zip(wss, mins) for w in ws]) or 1 for i in range(len(mins[0]))
-        )
-        reduced = tuple(
-            tuple(tuple((x - b) // g for x, b, g in zip(w, a, steps)) for w in ws) for ws, a in zip(wss, mins)
-        )
-        return WeightLayout(mins, steps, reduced, tuple(tuple(map(max, zip(*ws))) for ws in reduced))
-
-    @cached_property
-    def column_lattice(self) -> ColumnLattice:
-        """The lattice of the weight matrix A's columns, built once per
-        scenario: the fit's period and walls, the generic stabilizer and
-        the critical values all read it."""
-        return column_lattice(self.torus_weights)
-
-    @cached_property
-    def level_store(self) -> dict:
-        """The packed weight counts of the factors, by tuple of factor
-        degrees (k * d_j at level k), as ``counting`` builds them.  They
-        depend on the space alone, so :func:`with_bundle` hands this one
-        dict to every scenario it derives from this one; a scenario parsed
-        on its own starts with an empty store."""
-        return {}
 
     def weight_key(self, vec: tuple[int, ...] | int):
         """Public form of a weight: plain int when 1-dimensional."""
@@ -237,8 +260,8 @@ class Scenario:
 
 def validate_scenario(s: Scenario) -> Scenario:
     """Validate a scenario built in code through its document form: returns
-    an equal, normalized scenario or raises ScenarioError naming the field
-    at fault.  Idempotent."""
+    an equal, normalized scenario on a space of its own, with nothing built,
+    or raises ScenarioError naming the field at fault.  Idempotent."""
     return scenario_from_dict(scenario_to_dict(s))
 
 
@@ -291,15 +314,11 @@ def scenario_power(s: Scenario, p: int) -> Scenario:
 
 
 def with_bundle(s: Scenario, bundle: LinearizedBundle) -> Scenario:
-    """`s` with another bundle on the same space, validated through the
-    document form.  The level store, and whichever of the torus weights,
-    the weight layout and the column lattice `s` has built, depend on the
-    space alone: the new scenario holds the very same objects, so every
-    scenario derived from `s` reads and fills one store."""
-    out = validate_scenario(Scenario(s.group, s.factors, bundle))
-    names = [n for n in ("torus_weights", "weight_layout", "column_lattice") if n in s.__dict__]
-    out.__dict__.update({n: s.__dict__[n] for n in names}, level_store=s.level_store)
-    return out
+    """`s` with another bundle on the same space.  Only the bundle is
+    checked, against the space, as the document form checks it; the new
+    scenario holds the very space of `s`, so whatever either of them builds
+    from the space the other reads."""
+    return Scenario(s.space, _checked_bundle(s.space, list(bundle.degrees), list(bundle.twist)))
 
 
 def weight_of_monomial(s: Scenario, exponents, k: int | None = None):
@@ -327,7 +346,7 @@ def weight_of_monomial(s: Scenario, exponents, k: int | None = None):
     r = s.group.torus_rank
     total = [k * c for c in s.twist_vec]
     pos = 0
-    for j, (f, ws) in enumerate(zip(s.factors, s.torus_weights)):
+    for j, (f, ws) in enumerate(zip(s.factors, s.space.torus_weights)):
         block = alpha[pos : pos + f.dim + 1]
         if sum(block) != k * s.bundle.degrees[j]:
             raise ScenarioError(
@@ -375,11 +394,12 @@ def _int_list_field(value, field: str) -> tuple[int, ...]:
 def scenario_from_dict(doc: dict) -> Scenario:
     """Parse and validate a scenario document in one pass.
 
-    Every structural check of a scenario lives here, and each error names
-    the field at fault.  Values are JSON integers (a bool is not one).  A
-    circle factor reads `weights` and an su2 factor reads `sym_powers`; an
-    su2 factor that carries `weights` is rejected, and a circle factor
-    ignores `sym_powers` like any other unknown key.
+    Every structural check of a scenario lives here, the bundle's in
+    :func:`_checked_bundle`, which :func:`with_bundle` shares, and each
+    error names the field at fault.  Values are JSON integers (a bool is
+    not one).  A circle factor reads `weights` and an su2 factor reads
+    `sym_powers`; an su2 factor that carries `weights` is rejected, and a
+    circle factor ignores `sym_powers` like any other unknown key.
     """
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be an object")
@@ -434,20 +454,29 @@ def scenario_from_dict(doc: dict) -> Scenario:
     raw_bundle = doc["bundle"]
     if not isinstance(raw_bundle, dict) or "degrees" not in raw_bundle:
         raise ScenarioError("field `bundle` missing field `degrees`")
-    degrees = _int_list_field(raw_bundle["degrees"], "bundle.degrees")
-    if len(degrees) != len(factors) or min(degrees) < 1:
+    space = Space(GroupSpec(kind, g), tuple(factors))
+    return Scenario(space, _checked_bundle(space, raw_bundle["degrees"], raw_bundle.get("twist", [])))
+
+
+def _checked_bundle(space: Space, degrees, twist) -> LinearizedBundle:
+    """The bundle on `space` with the document's `bundle.degrees` and
+    `bundle.twist` (a list of integers, or one integer for a twist of
+    length 1), or ScenarioError naming the field at fault.  Both
+    :func:`scenario_from_dict` and :func:`with_bundle` check bundles here."""
+    degrees = _int_list_field(degrees, "bundle.degrees")
+    if len(degrees) != len(space.factors) or min(degrees) < 1:
         raise ScenarioError(
             f"field `bundle.degrees` must hold one degree >= 1 (ample) per factor, "
-            f"got {list(degrees)} for {len(factors)} factors"
+            f"got {list(degrees)} for {len(space.factors)} factors"
         )
-    twist = raw_bundle.get("twist", [])
     twist = (twist,) if _is_int(twist) else _int_list_field(twist, "bundle.twist")
-    if su2:
+    if space.group.is_su2:
         if any(twist):
             raise ScenarioError(f"field `bundle.twist` must be zero for su2, got {list(twist)}")
         twist = ()
     else:
+        g = space.group.dim
         twist = twist or (0,) * g
         if len(twist) != g:
             raise ScenarioError(f"field `bundle.twist` must have length {g}, got {list(twist)}")
-    return Scenario(GroupSpec(kind, g), tuple(factors), LinearizedBundle(degrees, twist))
+    return LinearizedBundle(degrees, twist)

@@ -149,16 +149,15 @@ def _homogeneity(s):
             want = Fraction(q) ** D * vol0.value
             ok = lhs.finite and lhs.value == want
             yield f"vol_0(L^{q}) = {q}^(n-g) vol_0(L)", _estimate(lhs), render_rational(want), ok, {"q": q}
-    regular = _regular(s)
-    e = g_exponent(s).exponent
-    if not regular or e is None:
+    regular, e = _regular(s), g_exponent(s).exponent
+    powers = [p for p in (3, 5) if regular and e is not None and gcd(p, e) == 1]
+    if not powers:
         return
-    for p in (3, 5):
-        if gcd(p, e) != 1:
-            continue
+    # vol_mu(L), fitted once for both powers; vol0 is its value at mu = 0
+    bases = [(mu, vol0 if mu == s.zero_weight else equivariant_volume(s, mu)) for mu in s.default_mus(2)]
+    for p in powers:
         sp = scenario_power(s, p)
-        for mu in s.default_mus(2):
-            base = equivariant_volume(s, mu)
+        for mu, base in bases:
             lhs = equivariant_volume(sp, mu)
             want = Fraction(p) ** D * base.value if base.finite else None
             yield (
@@ -303,9 +302,8 @@ def _translation(s):
 def continuity_family():
     """The rank-one family on P^2 with weights (-1,1,1): bundles (d, c) for
     d in 1..6 and c in -3..3, each derived from one base scenario, so the
-    members share its level store and its column lattice."""
+    members share its space: one level store and one column lattice."""
     base = circle_scenario([[-1, 1, 1]], [1])
-    base.column_lattice  # built here, once for the whole family
     return [((d, c), with_bundle(base, LinearizedBundle((d,), (c,)))) for d in range(1, 7) for c in range(-3, 4)]
 
 

@@ -12,8 +12,8 @@ quasi-polynomial (Brion-Vergne, JAMS 1997).  So on each class
 k = r (mod P), k >= k0, h is a polynomial of degree <= #columns - rank A:
 it is interpolated exactly and checked at one more sample, and a mismatch
 is a bug, never a reason to search on.  The minors and the walls depend
-on the columns alone and are read from the scenario's column lattice
-(``Scenario.column_lattice``, with b1 its ``Scenario.ray``); a fit only
+on the columns alone and are read from the space's column lattice
+(``Space.column_lattice``; b1 is ``Scenario.ray``); a fit only
 scales the minors' lcm by the classes b1 leaves to each row's content and
 finds k0 from dot products with the walls' normals.
 
@@ -157,13 +157,13 @@ def _levels(s: Scenario, mus) -> list[list[int]]:
     exceed counting.CELL_BUDGET: the top level is at least (width - 1) * P
     and every factor has two coordinates or more, so the weight DP of such
     a fit would exceed the same budget."""
-    lat = s.column_lattice
+    lat = s.space.column_lattice
     nf = len(s.factors)
     b1 = lat.cut(s.ray)
     # a row whose entries share the factor g has solutions only for k in one
     # class mod g / gcd(g, b1_i), where it may be divided by g
     period = lcm(*(g // gcd(g, b) for g, b in zip(lat.contents, b1))) * lat.minors_lcm
-    width = sum(map(len, s.torus_weights)) - len(lat.keep) + 2
+    width = sum(map(len, s.space.torus_weights)) - len(lat.keep) + 2
     if period * width > counting.CELL_BUDGET:
         raise EngineLimit(f"fit needs {period * width} sample levels > budget {counting.CELL_BUDGET}")
     b0s = []

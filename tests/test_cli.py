@@ -28,6 +28,7 @@ P2 = str(scenario_path("p2_circle"))
 P1 = str(scenario_path("p1_hyperplane"))
 SU2 = str(scenario_path("su2_p3"))
 UNSTABLE = str(scenario_path("p1_unstable"))
+SU2_UNSTABLE = str(scenario_path("su2_p1"))  # classify lists r_mu only when unstable
 
 
 def test_multiplicity_single(capsys):
@@ -189,6 +190,9 @@ def test_mu_required(capsys):
         (["multiplicity", "--scenario", P2, "--k", "1"], "multiplicity needs --mu or --all-mu"),
         (["multiplicity", "--scenario", P2, "--k", "-1", "--all-mu"], "tensor power must be >= 0"),
         (["table", "--scenario", P2, "--k-max", "-1"], "--k-max must be >= 0, got -1"),
+        (["volume", "--scenario", SU2, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
+        (["predict", "--scenario", SU2, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
+        (["classify", "--scenario", SU2_UNSTABLE, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):

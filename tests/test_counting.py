@@ -191,7 +191,7 @@ def test_isotypic_table_leaves_packed_cache_alone(corpus):
     for name, s in corpus:
         fresh = validate_scenario(s)
         isotypic_table(fresh, 9)
-        assert fresh.level_store == {}, name
+        assert fresh.space.level_store == {}, name
 
 
 def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
@@ -357,7 +357,7 @@ def test_section_dimensions_rejects_bad_input(su2_p3, p1p1_diag, p2_circle):
 
 def stored_records(s):
     """Every packed product in the level store of `s`, as (levels, record)."""
-    return list(s.level_store.items())
+    return list(s.space.level_store.items())
 
 
 def assert_same_records(got, built):
@@ -371,9 +371,9 @@ def test_packed_counts_are_shared_along_a_lineage(p1_hyperplane):
     s = validate_scenario(p1_hyperplane)
     cube = scenario_power(s, 3)
     twisted = with_bundle(s, LinearizedBundle((2,), (1,)))
-    assert cube.level_store is s.level_store
-    assert twisted.level_store is s.level_store
-    assert scenario_power(cube, 2).level_store is s.level_store
+    assert cube.space.level_store is s.space.level_store
+    assert twisted.space.level_store is s.space.level_store
+    assert scenario_power(cube, 2).space.level_store is s.space.level_store
     # a level read through a derived scenario is not rebuilt for `s`:
     # level 1 of L^3 is level 3 of L, and level 1 of O(2) twisted by 1
     # is level 2 of L, its weights moved by 1
@@ -387,10 +387,10 @@ def test_packed_counts_are_shared_along_a_lineage(p1_hyperplane):
     # an equal scenario parsed on its own, or an SU(2) action with the same
     # torus weights, starts with its own empty store
     twin = validate_scenario(s)
-    assert twin == s and twin.level_store is not s.level_store and twin.level_store == {}
+    assert twin == s and twin.space.level_store is not s.space.level_store and twin.space.level_store == {}
     su2_p1 = su2_scenario([[1]], [1])
-    assert su2_p1.weight_layout == s.weight_layout
+    assert su2_p1.space.weight_layout == s.space.weight_layout
     assert section_dimension(su2_p1, 5, 1) == 0  # H^0(O(5)) = V_5
     assert section_dimension(su2_p1, 5, 5) == 6
-    assert list(su2_p1.level_store) == [(5,)]
+    assert list(su2_p1.space.level_store) == [(5,)]
     assert_same_records(stored_records(s), built)

@@ -254,8 +254,8 @@ def test_module_state_check_flags_empty_containers(source, empty):
 
 def test_no_new_module_level_caches():
     # per-scenario state belongs on objects: a module-level cache grows
-    # without bound.  The packed levels live on the scenario
-    # (Scenario.level_store), so nothing is allowed here
+    # without bound.  The packed levels live on the space
+    # (Space.level_store), so nothing is allowed here
     found = set()
     for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -267,4 +267,19 @@ def test_no_new_module_level_caches():
                 found.update(f"{path.stem}.{getattr(x, 'id', x.lineno)}" for x in targets)
             elif any(_is_cache(n) for n in ast.walk(node)):
                 found.add(f"{path.stem}:{node.lineno}")
+    assert not found, found
+
+
+def test_no_instance_dict_access():
+    # scenarios on one space share what it determines by holding the same
+    # Space, so no module reads or writes an object's __dict__ to copy
+    # cached state from one object to another
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(Path(equivol.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Name) and node.id == "__dict__")
+        or (isinstance(node, ast.Constant) and node.value == "__dict__")
+    ]
     assert not found, found

@@ -11,6 +11,7 @@ from equivol import (
     scenario_from_dict,
     scenario_power,
     scenario_to_dict,
+    section_dimension,
     su2_scenario,
     tensor_power,
     tensor_product,
@@ -34,11 +35,13 @@ def test_su2_factor_accounting(su2_p3):
 
 
 def test_dimension_mismatch_rejected():
-    from equivol import GroupSpec, ProjectiveFactor, Scenario
+    from equivol import GroupSpec, ProjectiveFactor, Scenario, Space
 
     bad = Scenario(
-        GroupSpec("circle_power", 1),
-        (ProjectiveFactor(dim=1, weights=((1,), (-1,), (0,))),),  # 3 weights on P^1
+        Space(
+            GroupSpec("circle_power", 1),
+            (ProjectiveFactor(dim=1, weights=((1,), (-1,), (0,))),),  # 3 weights on P^1
+        ),
         LinearizedBundle((1,), (0,)),
     )
     with pytest.raises(ScenarioError):
@@ -46,11 +49,10 @@ def test_dimension_mismatch_rejected():
 
 
 def test_su2_with_circle_weights_rejected():
-    from equivol import GroupSpec, ProjectiveFactor, Scenario
+    from equivol import GroupSpec, ProjectiveFactor, Scenario, Space
 
     bad = Scenario(
-        GroupSpec("su2", 3),
-        (ProjectiveFactor(dim=1, weights=((1,), (-1,))),),
+        Space(GroupSpec("su2", 3), (ProjectiveFactor(dim=1, weights=((1,), (-1,))),)),
         LinearizedBundle((1,), ()),
     )
     with pytest.raises(ScenarioError):
@@ -78,11 +80,10 @@ def test_builders_name_the_rejected_field(build, field):
 
 
 def test_su2_block_count_mismatch_explicit():
-    from equivol import GroupSpec, ProjectiveFactor, Scenario
+    from equivol import GroupSpec, ProjectiveFactor, Scenario, Space
 
     bad = Scenario(
-        GroupSpec("su2", 3),
-        (ProjectiveFactor(dim=3, sym_powers=(1,)),),
+        Space(GroupSpec("su2", 3), (ProjectiveFactor(dim=3, sym_powers=(1,)),)),
         LinearizedBundle((1,), ()),
     )
     with pytest.raises(ScenarioError):
@@ -178,33 +179,33 @@ def test_twist_vec(corpus):
 
 
 def test_torus_weights(p1p1_diag, su2_p3):
-    assert p1p1_diag.torus_weights == (((1, 0), (-1, 0)), ((0, 1), (0, -1)))
-    assert su2_p3.torus_weights == (((1,), (-1,), (1,), (-1,)),)
-    assert su2_p3.torus_weights is su2_p3.torus_weights
+    assert p1p1_diag.space.torus_weights == (((1, 0), (-1, 0)), ((0, 1), (0, -1)))
+    assert su2_p3.space.torus_weights == (((1,), (-1,), (1,), (-1,)),)
+    assert su2_p3.space.torus_weights is su2_p3.space.torus_weights
 
 
 def test_weight_layout(p1p1_diag, su2_p3):
     # each coordinate's weights reduced by their common step (2 in every
     # coordinate here); a constant coordinate keeps step 1
-    assert su2_p3.weight_layout == (((-1,),), (2,), (((1,), (0,), (1,), (0,)),), ((1,),))
-    assert p1p1_diag.weight_layout == (
+    assert su2_p3.space.weight_layout == (((-1,),), (2,), (((1,), (0,), (1,), (0,)),), ((1,),))
+    assert p1p1_diag.space.weight_layout == (
         ((-1, 0), (0, -1)),
         (2, 2),
         (((1, 0), (0, 0)), ((0, 1), (0, 0))),
         ((1, 0), (0, 1)),
     )
     s = circle_scenario([[(3, 7), (-1, 7), (1, 7)]], [1])
-    assert s.weight_layout == (((-1, 7),), (2, 1), (((2, 0), (0, 0), (1, 0)),), ((2, 0),))
-    # built once per scenario, and handed on with the level store, which
-    # it lays out, to the tensor powers of the scenario
-    assert su2_p3.weight_layout is su2_p3.weight_layout
+    assert s.space.weight_layout == (((-1, 7),), (2, 1), (((2, 0), (0, 0), (1, 0)),), ((2, 0),))
+    # built once per space, which the tensor powers of a scenario share
+    assert su2_p3.space.weight_layout is su2_p3.space.weight_layout
     # so is the column lattice, which the fit, the generic stabilizer and
     # the stability class read
-    assert p1p1_diag.column_lattice.stabilizer == ((2, 0), (0, 2))
+    assert p1p1_diag.space.column_lattice.stabilizer == ((2, 0), (0, 2))
     cube = scenario_power(p1p1_diag, 3)
-    assert cube.weight_layout is p1p1_diag.weight_layout
-    assert cube.torus_weights is p1p1_diag.torus_weights
-    assert scenario_power(p1p1_diag, 3).column_lattice is p1p1_diag.column_lattice
+    assert cube.space is p1p1_diag.space
+    assert cube.space.weight_layout is p1p1_diag.space.weight_layout
+    assert cube.space.torus_weights is p1p1_diag.space.torus_weights
+    assert scenario_power(p1p1_diag, 3).space.column_lattice is p1p1_diag.space.column_lattice
     assert cube.bundle.degrees == (3, 3)
 
 
@@ -214,13 +215,20 @@ def test_with_bundle_validates_and_shares_the_space(p1p1_diag):
         with_bundle(s, LinearizedBundle((1,), (0, 0)))
     with pytest.raises(ScenarioError, match="bundle.twist"):
         with_bundle(s, LinearizedBundle((1, 1), (0,)))
-    lattice = s.column_lattice
     t = with_bundle(s, LinearizedBundle((1, 2), (1, 0)))
     assert t.bundle == LinearizedBundle((1, 2), (1, 0))
-    assert t.column_lattice is lattice and t.level_store is s.level_store
-    # what `s` has not built, the new scenario builds for itself
-    assert "weight_layout" not in t.__dict__
-    assert t.weight_layout == s.weight_layout
+    assert t.space is s.space and (t.group, t.factors) == (s.group, s.factors)
+    # what the space determines is built once, through whichever scenario
+    # reads it first, and the other reads the same object
+    layout, lattice = t.space.weight_layout, t.space.column_lattice
+    assert s.space.weight_layout is layout and s.space.column_lattice is lattice
+    assert section_dimension(t, 1, (2, 2)) == 1  # z0 w0^2, moved by the twist (1, 0)
+    assert s.space.level_store.keys() == {(1, 2)}
+    # equal and hashed by value: the same bundle again, or the same space
+    # parsed on its own, which starts with an empty store
+    same, twin = with_bundle(s, s.bundle), validate_scenario(s)
+    assert same == s == twin and hash(same) == hash(s) == hash(twin)
+    assert twin.space is not s.space and twin.space.level_store == {}
 
 
 def test_dim_irrep(p2_circle, p1p1_diag, su2_p3):

@@ -27,6 +27,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from equivol import (
+    LinearizedBundle,
+    ScenarioError,
     brute_force_oracle,
     circle_scenario,
     classify_stability,
@@ -46,6 +48,7 @@ from equivol import (
     su2_scenario,
     total_dimension,
     validate_scenario,
+    with_bundle,
 )
 from equivol.counting import conservation_sides
 from equivol.tables import multiplicity_rows, to_csv
@@ -85,7 +88,7 @@ def stepped_scenarios(draw):
     divide the step out and read most weights as 0."""
     s = draw(st.one_of(rank1_scenarios(), rank2_scenarios()))
     steps = draw(st.lists(st.integers(1, 3), min_size=s.group.torus_rank, max_size=s.group.torus_rank))
-    factors = [[tuple(x * g for x, g in zip(w, steps)) for w in ws] for ws in s.torus_weights]
+    factors = [[tuple(x * g for x, g in zip(w, steps)) for w in ws] for ws in s.space.torus_weights]
     return circle_scenario(factors, s.bundle.degrees, twist=s.bundle.twist)
 
 
@@ -104,6 +107,48 @@ def test_document_form_round_trips(s):
     # back every scenario it writes
     assert scenario_from_dict(scenario_to_dict(s)) == s
     assert validate_scenario(s) == s
+
+
+@st.composite
+def scenarios_with_bundles(draw):
+    """A drawn scenario and a bundle for its space, valid or not: one degree
+    too few or too many, a degree of 0, a twist of length g, g - 1, g + 1
+    or 0 (the twist ()), and for SU(2) nonzero twists."""
+    s = draw(st.one_of(rank1_scenarios(), rank2_scenarios(), su2_scenarios()))
+    nf, g = len(s.factors), s.group.dim
+    n, m = draw(st.sampled_from([nf] * 3 + [nf - 1, nf + 1])), draw(st.sampled_from([g] * 3 + [0, g - 1, g + 1]))
+    degrees = draw(st.lists(st.sampled_from([1, 2] * 4 + [0]), min_size=n, max_size=n))
+    twist = draw(st.lists(st.sampled_from([0, 0, 1, -1]), min_size=m, max_size=m))
+    return s, LinearizedBundle(tuple(degrees), tuple(twist))
+
+
+P1, SU2_P1 = circle_scenario([[1, -1]], [1]), su2_scenario([[1]], [1])
+
+
+@SETTINGS
+@given(scenarios_with_bundles())
+@example((P1, LinearizedBundle((2,), (1,))))
+@example((P1, LinearizedBundle((1, 1), (0,))))
+@example((P1, LinearizedBundle((0,), (0,))))
+@example((P1, LinearizedBundle((1,), (0, 0))))
+@example((P1, LinearizedBundle((1,), ())))
+@example((SU2_P1, LinearizedBundle((1,), (0, 1, 0))))
+@example((SU2_P1, LinearizedBundle((2,), (0, 0, 0))))
+def test_with_bundle_matches_the_document_form(pair):
+    # with_bundle checks only the bundle, yet agrees with parsing the whole
+    # document that carries it: the same scenario, or the same error
+    s, bundle = pair
+    doc = scenario_to_dict(s)
+    doc["bundle"] = {"degrees": list(bundle.degrees), "twist": list(bundle.twist)}
+    try:
+        want = scenario_from_dict(doc)
+    except ScenarioError as exc:
+        with pytest.raises(ScenarioError) as got:
+            with_bundle(s, bundle)
+        assert str(got.value) == str(exc)
+    else:
+        got = with_bundle(s, bundle)
+        assert got == want and got.space is s.space
 
 
 def _vec(mu):
@@ -374,7 +419,7 @@ def test_moment_image_queries_match_fraction_hull(case):
 def _difference_vectors(s):
     return [
         tuple(x - y for x, y in zip(a, b))
-        for ws in s.torus_weights
+        for ws in s.space.torus_weights
         for a, b in combinations(ws, 2)
     ]
 
@@ -412,7 +457,7 @@ def test_generic_stabilizer_matches_maximal_minors(s):
 def _weight_matrix_rows(s):
     """The rows of A: one column (e_j, w) per coordinate of factor j."""
     nf = len(s.factors)
-    return list(zip(*(tuple(int(i == j) for i in range(nf)) + w for j, ws in enumerate(s.torus_weights) for w in ws)))
+    return list(zip(*(tuple(int(i == j) for i in range(nf)) + w for j, ws in enumerate(s.space.torus_weights) for w in ws)))
 
 
 def _fraction_rank(rows) -> int:
@@ -465,7 +510,7 @@ def test_column_lattice_minors_give_the_stabilizer_order(s):
     # index of the column lattice, Z^(nf+r) modulo the columns being Z^r
     # modulo the difference lattice
     rows = _weight_matrix_rows(s)
-    keep = s.column_lattice.keep
+    keep = s.space.column_lattice.keep
     for i in range(len(rows)):
         assert (_fraction_rank(rows[: i + 1]) > _fraction_rank(rows[:i])) == (i in keep), i
     stab = generic_stabilizer(s)
@@ -509,7 +554,7 @@ def _zero_is_critical(s) -> bool:
     rank = s.group.torus_rank
     choices = [
         [c for n in range(1, len(set(ws)) + 1) for c in combinations(sorted(set(ws)), n)]
-        for ws in s.torus_weights
+        for ws in s.space.torus_weights
     ]
     for supports in product(*choices):
         diffs = [tuple(x - y for x, y in zip(a, b)) for S in supports for a, b in combinations(S, 2)]
@@ -537,7 +582,7 @@ def _zero_is_critical(s) -> bool:
 def test_stability_class_matches_stratum_reference(s):
     if not moment_image(s).contains_zero():
         expect = ("unstable_everywhere", "outside")
-    elif all(len(set(ws)) == 1 for ws in s.torus_weights):
+    elif all(len(set(ws)) == 1 for ws in s.space.torus_weights):
         expect = ("trivial_action", "on_vertex_or_wall")
     elif _zero_is_critical(s):
         expect = ("boundary", "on_vertex_or_wall")
