@@ -29,7 +29,6 @@ from .counting import (
     brute_force_oracle,
     full_weight_distribution,
     isotypic_table,
-    section_counts,
     section_dimension,
     section_dimensions,
     total_dimension,

@@ -150,6 +150,7 @@ def _render_image(img) -> str:
 
 def cmd_classify(args) -> int:
     s = load_scenario(args.scenario)
+    mus = _mus(args, s)  # a bad --mu-range is an input error on every scenario
     rep = geometry.classify_stability(s)
     lines = [
         f"stability: {rep.stability}",
@@ -167,7 +168,7 @@ def cmd_classify(args) -> int:
         pass
     if rep.stability == "unstable_everywhere":
         lines.append("vanishing_bounds:")
-        for mu in _mus(args, s):
+        for mu in mus:
             r = geometry.vanishing_certificate(s, mu)
             lines.append(f"  mu={render_weight(mu)}: r_mu={r}")
     text = "\n".join(lines) + "\n"

@@ -42,10 +42,9 @@ one ladder sorted by k, stores them and then reads the slots; a stored
 level is never rebuilt, also after CELL_BUDGET falls, since the budget
 guards new work only.  The twist never enters the store but is applied
 as an offset when a slot is read.  :func:`section_dimensions` reads one
-weight at many levels in one call (a wrapper of :func:`section_counts`,
-which reads several weights at the same levels: a volume fit reads mu and
-the zero weight), and :func:`full_weight_distribution` reads every weight
-of one level.
+weight at many levels in one call (a volume fit reads all its sample
+levels in one such call), and :func:`full_weight_distribution` reads
+every weight of one level.
 
 Every DP and product is checked against one cap, CELL_BUDGET, read at call
 time; a request past it raises :class:`EngineLimit`.  For a deliberately
@@ -255,39 +254,27 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
     return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
 
 
-def section_counts(s: Scenario, mus, ks) -> list[list[int]]:
-    """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one list
-    per weight mu of `mus`, each with one entry per level k of `ks`, in the
-    order given; the levels not stored yet are built in one ladder.
-
-    Each weight and the bundle are read once, and every level's record is
-    fetched once for all weights; a weight then costs one slot of it, two
-    for SU(2), where N(mu) is the torus count at mu minus that at mu + 2.
-    """
-    reads = []
-    for mu in mus:
-        vec = s.weight_vec(mu)
-        reads.append((vec, (vec[0] + 2,) if s.group.is_su2 else None, s.dim_irrep(mu)))
-    ks = list(ks)
-    twist = s.twist_vec
-    records = _records(s, [_level_degrees(s, k) for k in ks])
-    out = [[] for _ in reads]
-    for k, p in zip(ks, records):
-        for counts, (vec, above, dim) in zip(out, reads):
-            n = _weight_count(p, vec, k, twist)
-            if above:
-                n -= _weight_count(p, above, k, twist)
-                if n < 0:
-                    raise RuntimeError(f"su2 weight distribution not unimodal at mu={vec[0]}, k={k}: engine bug")
-            counts.append(n * dim)
-    return out
-
-
 def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one per
-    level k of `ks`, in the order given: :func:`section_counts` of the one
-    weight mu."""
-    return section_counts(s, (mu,), ks)[0]
+    level k of `ks`, in the order given; the levels not stored yet are
+    built in one ladder.
+
+    The weight and the bundle are read once; each level then costs one
+    slot of its record, two for SU(2), where N(mu) is the torus count at
+    mu minus that at mu + 2.
+    """
+    vec, dim, twist = s.weight_vec(mu), s.dim_irrep(mu), s.twist_vec
+    above = (vec[0] + 2,) if s.group.is_su2 else None
+    ks = list(ks)
+    out = []
+    for k, p in zip(ks, _records(s, [_level_degrees(s, k) for k in ks])):
+        n = _weight_count(p, vec, k, twist)
+        if above:
+            n -= _weight_count(p, above, k, twist)
+            if n < 0:
+                raise RuntimeError(f"su2 weight distribution not unimodal at mu={vec[0]}, k={k}: engine bug")
+        out.append(n * dim)
+    return out
 
 
 def section_dimension(s: Scenario, k: int, mu) -> int:

@@ -159,6 +159,14 @@ class Space:
         this one dict."""
         return {}
 
+    @cached_property
+    def fit_store(self) -> dict:
+        """The volume fits on this space, by (bundle, weight vector), as
+        ``volumes`` fits them: one weight's class polynomials each.  A fit
+        depends on the bundle and the weight alone, so it is made once for
+        every scenario on the space that reads it."""
+        return {}
+
 
 @dataclass(frozen=True)
 class Scenario:

@@ -140,7 +140,11 @@ def _oracle(s):
 
 def _homogeneity(s):
     """vol_mu(L^p) = p^(n-g) vol_mu(L) for gcd(p, e)=1, and the
-    unconditional trivial-representation law for q in [1, 6]."""
+    unconditional trivial-representation law for q in [1, 6].
+
+    At q = 1 both sides read one stored fit, since ``scenario_power(s, 1)``
+    has the space and the bundle of `s`: that check compares one
+    deterministic computation with itself, not two derivations."""
     D = s.quotient_degree
     vol0 = equivariant_volume(s, s.zero_weight)
     if vol0.finite:
@@ -151,14 +155,10 @@ def _homogeneity(s):
             yield f"vol_0(L^{q}) = {q}^(n-g) vol_0(L)", _estimate(lhs), render_rational(want), ok, {"q": q}
     regular, e = _regular(s), g_exponent(s).exponent
     powers = [p for p in (3, 5) if regular and e is not None and gcd(p, e) == 1]
-    if not powers:
-        return
-    # vol_mu(L), fitted once for both powers; vol0 is its value at mu = 0
-    bases = [(mu, vol0 if mu == s.zero_weight else equivariant_volume(s, mu)) for mu in s.default_mus(2)]
     for p in powers:
         sp = scenario_power(s, p)
-        for mu, base in bases:
-            lhs = equivariant_volume(sp, mu)
+        for mu in s.default_mus(2):
+            base, lhs = equivariant_volume(s, mu), equivariant_volume(sp, mu)
             want = Fraction(p) ** D * base.value if base.finite else None
             yield (
                 f"vol_mu(L^{p}) = {p}^(n-g) vol_mu(L) at mu={render_weight(mu)}",
@@ -183,7 +183,11 @@ def _exponent_law(s):
 
 def _compatibility(s):
     """vol_mu > 0 iff a compatibility witness exists, and positive volumes
-    equal dim(V_mu)^2 vol_0 exactly."""
+    equal dim(V_mu)^2 vol_0 exactly.
+
+    At mu = 0 both sides read one stored fit, the one vol_0 is read from:
+    that check compares one deterministic computation with itself, not two
+    derivations."""
     vol0 = equivariant_volume(s, s.zero_weight)
     yield "vol_0 is exact and positive on a regular scenario", _estimate(vol0), "positive", vol0.positive
     if not vol0.positive:

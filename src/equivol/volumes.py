@@ -17,11 +17,18 @@ on the columns alone and are read from the space's column lattice
 scales the minors' lcm by the classes b1 leaves to each row's content and
 finds k0 from dot products with the walls' normals.
 
+A fit reads one weight: its class polynomials depend on the space, the
+bundle and mu alone, so each is made once and kept on the space
+(``Space.fit_store``, by bundle and weight), where every scenario on that
+space reads it.  A stored fit is served also after CELL_BUDGET falls,
+and a fit that raises stores nothing.
+
 The volume vol_mu(L) = limsup (n-g)!/k^(n-g) dim H^0(M, L^k)_mu is the
 largest (n-g)! * (coefficient of k^(n-g)) over the classes; growth of
 higher degree is an infinite volume, never an error.  Results name their
 class modulo e_G(L), the gcd of P and the classes whose invariant count
-is eventually nonzero.  No floating point is used anywhere.
+is eventually nonzero: those whose polynomial in the fit at the zero
+weight is not 0.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from math import factorial, gcd, lcm
 from operator import mul
 
 from . import counting, geometry
-from .counting import EngineLimit, section_counts, section_dimensions
+from .counting import EngineLimit, section_dimensions
 from .model import Rational, Scenario, ScenarioError
 
 EXACT = "exact"
@@ -148,10 +155,10 @@ def _interpolate(k_first: int, step: int, ys: list[int]) -> tuple[list[int], int
     return poly, ys[0]
 
 
-def _levels(s: Scenario, mus) -> list[list[int]]:
+def _levels(s: Scenario, mu) -> list[list[int]]:
     """For each class r mod P, the #columns - rank A + 2 levels k = r (mod P),
-    step P, at which the fit samples, from a start k0 past which the counts
-    at every weight of `mus` are polynomial on each class.
+    step P, at which the fit at weight `mu` samples, from a start k0 past
+    which the counts at mu are polynomial on each class.
 
     Raises EngineLimit before any level is built when the P * width levels
     exceed counting.CELL_BUDGET: the top level is at least (width - 1) * P
@@ -166,10 +173,8 @@ def _levels(s: Scenario, mus) -> list[list[int]]:
     width = sum(map(len, s.space.torus_weights)) - len(lat.keep) + 2
     if period * width > counting.CELL_BUDGET:
         raise EngineLimit(f"fit needs {period * width} sample levels > budget {counting.CELL_BUDGET}")
-    b0s = []
-    for mu in mus:
-        nu = s.weight_vec(mu)
-        b0s += [lat.cut((0,) * nf + w) for w in ([nu, (nu[0] + 2,)] if s.group.is_su2 else [nu])]
+    nu = s.weight_vec(mu)
+    b0s = [lat.cut((0,) * nf + w) for w in ([nu, (nu[0] + 2,)] if s.group.is_su2 else [nu])]
     # <n, b> = det(wall, b) for a wall's normal n, so the ray crosses it at
     # k = -<n, b0> / <n, b1>
     k0 = 0
@@ -190,32 +195,40 @@ def _eventually_zero(s: Scenario, mu) -> bool:
     return k_min is None or k_max is not None
 
 
-def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
-    """vol_mu restricted to each residue class f mod e_G(L), f in [0, e)."""
-    zero = s.zero_weight
-    # one start for both weights, so that they read the same levels
-    levels = _levels(s, (mu, zero))
+def _class_polys(s: Scenario, mu) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The fit at weight `mu`: cap = #columns - rank A and, for each class r
+    mod P, cap! P^cap times the polynomial that dim H^0(L^k)_mu equals on
+    k = r (mod P) past the start, interpolated from cap + 1 samples and
+    checked at one more.  Each fit is made once and kept, as tuples, in the
+    space's ``fit_store`` by (bundle, weight); a fit that raises stores
+    nothing."""
+    store, key = s.space.fit_store, (s.bundle, s.weight_vec(mu))
+    if key in store:
+        return store[key]
+    levels = _levels(s, mu)
     period, width = len(levels), len(levels[0])
-    cap = width - 2
-    ks = [k for row in levels for k in row]
-    counts, invariants = section_counts(s, (mu, zero), ks)
-    polys = []  # cap! P^cap times the polynomial of each class
-    for r in range(period):
+    counts = section_dimensions(s, mu, [k for row in levels for k in row])
+    polys = []
+    for r, row in enumerate(levels):
         ys = counts[r * width : (r + 1) * width]
-        poly, excess = _interpolate(levels[r][0], period, ys)
+        poly, excess = _interpolate(row[0], period, ys)
         if excess:
             raise RuntimeError(
-                f"samples {ys} of dim H^0(L^k)_{mu} at k = {levels[r][0]} + {period} j fit "
-                f"no polynomial of degree <= {cap}: fitter bug"
+                f"samples {ys} of dim H^0(L^k)_{mu} at k = {row[0]} + {period} j fit "
+                f"no polynomial of degree <= {width - 2}: fitter bug"
             )
-        polys.append(poly)
-    # e: the invariant count is eventually nonzero on class r iff one of its
-    # first cap + 1 samples is, since a polynomial of degree <= cap with
-    # cap + 1 zeros vanishes
-    e = period
-    for r in range(period):
-        if any(invariants[r * width : (r + 1) * width - 1]):
-            e = gcd(e, r)
+        polys.append(tuple(poly))
+    store[key] = width - 2, tuple(polys)
+    return store[key]
+
+
+def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
+    """vol_mu restricted to each residue class f mod e_G(L), f in [0, e)."""
+    cap, polys = _class_polys(s, mu)  # cap! P^cap times each class's polynomial
+    period = len(polys)
+    # e: the gcd of P and the classes on which the invariant count is
+    # eventually nonzero, read off the fit at the zero weight
+    e = gcd(period, *(r for r, p in enumerate(_class_polys(s, s.zero_weight)[1]) if p))
     D = s.growth_degree
     out = []
     for f in range(e):

@@ -193,6 +193,8 @@ def test_mu_required(capsys):
         (["volume", "--scenario", SU2, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
         (["predict", "--scenario", SU2, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
         (["classify", "--scenario", SU2_UNSTABLE, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
+        (["classify", "--scenario", SU2, "--mu-range=abc"], "cannot parse range 'abc'"),
+        (["classify", "--scenario", SU2, "--mu-range=3..1"], "empty range '3..1'"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):

@@ -1,6 +1,7 @@
 """Cross-module structural invariants."""
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,8 +255,8 @@ def test_module_state_check_flags_empty_containers(source, empty):
 
 def test_no_new_module_level_caches():
     # per-scenario state belongs on objects: a module-level cache grows
-    # without bound.  The packed levels live on the space
-    # (Space.level_store), so nothing is allowed here
+    # without bound.  The packed levels and the volume fits live on the
+    # space (Space.level_store, Space.fit_store), so nothing is allowed here
     found = set()
     for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -283,3 +284,32 @@ def test_no_instance_dict_access():
         or (isinstance(node, ast.Constant) and node.value == "__dict__")
     ]
     assert not found, found
+
+
+def _capability_entry_points() -> list[str]:
+    """The backticked names in the entry-point column of README's
+    capability table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## What the library computes", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")][2:]  # past the header
+    return [name for row in rows for name in row.rstrip(" |").rsplit("|", 1)[1].split("`")[1::2]]
+
+
+def test_readme_entry_points_resolve():
+    # a documented entry point must exist: `equivol.a.b` names a module's
+    # attribute, any other name one of the package's, and `Scenario.space.X`
+    # reads as `Space.X`
+    names = _capability_entry_points()
+    assert "equivariant_volume" in names and "Scenario.space.level_store" in names
+    missing = []
+    for name in names:
+        parts = name.replace("Scenario.space.", "Space.").split(".")
+        if parts[0] == "equivol":
+            obj, parts = importlib.import_module(".".join(parts[:-1])), parts[-1:]
+        else:
+            obj = equivol
+        for part in parts:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, missing

@@ -19,7 +19,9 @@ from equivol import (
     scenario_from_dict,
     scenario_power,
     su2_scenario,
+    validate_scenario,
     volumes,
+    with_bundle,
 )
 from equivol.cli import main
 
@@ -223,8 +225,8 @@ def test_volume_pins(weights, degrees, twist, mu, vol):
 
 FOUND_RANK2 = circle_scenario([[(1, 0), (1, 2)], [(-2, -1), (1, -2), (-1, 2)]], [2, 2])
 
-# (P, k0) of a fit at the zero weight alone, and at mu = 2 (rank 1) or
-# mu = (-1, 0) (rank 2) together with the zero weight
+# (P, k0) of a fit at the zero weight, and at mu = 2 (rank 1) or
+# mu = (-1, 0) (rank 2)
 FIT_PINS = {
     "p1_hyperplane": ((2, 1), (2, 3)),
     "p1_square": ((2, 1), (2, 2)),
@@ -252,8 +254,8 @@ def test_fit_period_and_start(corpus):
     for name, s in docs.items():
         mu = 2 if s.group.torus_rank == 1 else (-1, 0)
         got = []
-        for mus in ((s.zero_weight,), (mu, s.zero_weight)):
-            levels = volumes._levels(s, mus)
+        for weight in (s.zero_weight, mu):
+            levels = volumes._levels(s, weight)
             got.append((len(levels), min(row[0] for row in levels)))
         assert tuple(got) == FIT_PINS[name], name
 
@@ -264,28 +266,99 @@ def test_fit_levels_budget_guard(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(counting, "CELL_BUDGET", 17)
         with pytest.raises(EngineLimit, match=r"^fit needs 18 sample levels > budget 17$"):
-            volumes._levels(s, (0,))
+            volumes._levels(s, 0)
         m.setattr(counting, "CELL_BUDGET", 18)
-        assert len(volumes._levels(s, (0,))) == 6
+        assert len(volumes._levels(s, 0)) == 6
 
 
 def test_fit_guard_catches_a_perturbed_sample(monkeypatch, p2_circle):
     # every class carries one sample beyond those it is interpolated from;
-    # shifting the first sample at mu = 1 by one must be caught, not absorbed
-    true_counts = volumes.section_counts
+    # shifting the first sample at mu = 1 by one must be caught, not absorbed.
+    # A fresh copy: the shared fixture's space may already hold the fit
+    s = validate_scenario(p2_circle)
+    true_counts = volumes.section_dimensions
     shifted = []
 
-    def perturbed(s, mus, ks):
-        rows = true_counts(s, mus, ks)
-        if mus[0] == 1 and not shifted:
+    def perturbed(s, mu, ks):
+        counts = true_counts(s, mu, ks)
+        if mu == 1 and not shifted:
             shifted.append(ks[0])
-            rows[0][0] += 1
-        return rows
+            counts[0] += 1
+        return counts
 
-    monkeypatch.setattr(volumes, "section_counts", perturbed)
+    monkeypatch.setattr(volumes, "section_dimensions", perturbed)
     with pytest.raises(RuntimeError, match="fit no polynomial"):
-        equivariant_volume(p2_circle, 1)
+        equivariant_volume(s, 1)
     assert len(shifted) == 1
+    assert s.space.fit_store == {}  # a fit that raises stores nothing
+
+
+def count_fits(monkeypatch) -> list:
+    """Record the weight of every fit that is made, not read from a store."""
+    fits = []
+    true_levels = volumes._levels
+
+    def counted(s, mu):
+        fits.append(mu)
+        return true_levels(s, mu)
+
+    monkeypatch.setattr(volumes, "_levels", counted)
+    return fits
+
+
+def test_one_fit_per_space_bundle_and_weight(monkeypatch, p2_circle):
+    s = validate_scenario(p2_circle)  # a space of its own, with no fit stored
+    fits = count_fits(monkeypatch)
+    vol0 = equivariant_volume(s, 0)
+    assert equivariant_volume(s, 0) == vol0
+    assert fits == [0]
+    # the same bundle on the same space reads the same fit
+    assert equivariant_volume(scenario_power(s, 1), 0) == vol0
+    assert equivariant_volume(with_bundle(s, s.bundle), 0) == vol0
+    assert fits == [0]
+    # e_G(L) is read off the stored fit at the zero weight, which is not refit
+    for mu in (1, 2, -1):
+        assert equivariant_volume(s, mu).value == Fraction(1, 2)
+    assert fits == [0, 1, 2, -1]
+    assert set(s.space.fit_store) == {(s.bundle, (mu,)) for mu in (0, 1, 2, -1)}
+    # another power is another bundle, fitted on the same space
+    equivariant_volume(scenario_power(s, 3), 0)
+    assert fits == [0, 1, 2, -1, 0] and len(s.space.fit_store) == 5
+    # a separately validated copy has a space of its own and fits again
+    assert equivariant_volume(validate_scenario(s), 0) == vol0
+    assert fits == [0, 1, 2, -1, 0, 0]
+
+
+def test_fit_store_follows_the_budget_rules(monkeypatch):
+    # p2_skew's fit reads 18 sample levels; the budget guards new fits only
+    s = validate_scenario(corpus_scenario("p2_skew"))
+    with monkeypatch.context() as m:
+        m.setattr(counting, "CELL_BUDGET", 17)
+        with pytest.raises(EngineLimit, match="fit needs 18 sample levels"):
+            equivariant_volume(s, 0)
+    assert s.space.fit_store == {}
+    vol0 = equivariant_volume(s, 0)
+    fits = count_fits(monkeypatch)
+    monkeypatch.setattr(counting, "CELL_BUDGET", 17)
+    assert equivariant_volume(s, 0) == vol0
+    assert fits == []
+
+
+def test_fit_classes_at_the_zero_weight_give_the_exponent(corpus):
+    # two routes to e_G(L): the residue classes the fit reports at the zero
+    # weight, and the gcd of the invariant semigroup read up to M_MAX.  A fit
+    # at any other weight reports its classes mod the same e_G(L)
+    checked = []
+    for name, s in corpus:
+        if volumes._eventually_zero(s, s.zero_weight):
+            continue
+        e = g_exponent(s).exponent
+        assert e is not None and len(volumes._residue_estimates(s, s.zero_weight)) == e, name
+        for mu in s.default_mus(2):
+            if not volumes._eventually_zero(s, mu):
+                assert len(volumes._residue_estimates(s, mu)) == e, (name, mu)
+        checked.append(name)
+    assert len(checked) == 12
 
 
 # SU(2) on P(Sym^5): P = 120 and six samples per class, so a fit reads 720
