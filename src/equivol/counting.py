@@ -128,9 +128,6 @@ def _factor_rows(ws: tuple, reach: tuple, m: int, nbytes: int) -> list[int]:
     Every row is packed in the box of the degree-m weights, sides
     1 + m * reach_i; row j fills its corner box of sides 1 + j * reach_i."""
     box = [1 + m * r for r in reach]
-    cells = (m + 1) * len(ws) * prod(box)  # every row is kept
-    if cells > CELL_BUDGET:
-        raise EngineLimit(f"weight DP needs {cells} cells > budget {CELL_BUDGET}")
     bits = [8 * nbytes * prod(box[i + 1 :]) for i in range(len(box))]
     rows = [1] + [0] * m
     for w in ws:
@@ -159,10 +156,26 @@ def _place(h: int, src: list[int], box: list[int], strides: list[int], nbytes: i
     return int.from_bytes(out, _ORDER)
 
 
-def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
+def _check_budget(layout: WeightLayout, top: tuple[int, ...]) -> None:
+    """Raise EngineLimit when a ladder up to the factor degrees `top` exceeds
+    CELL_BUDGET: the packed slots of the product, or the DP cells of a
+    factor (degree x packed slots x coordinates, every row kept).  It reads
+    `top` alone, so callers run it before they build any per-level list."""
+    reduced, reach = layout.reduced, layout.reach
+    nslots = prod(1 + sum(map(mul, top, axis)) for axis in zip(*reach))
+    if nslots > CELL_BUDGET:
+        raise EngineLimit(f"packed weight counts need {nslots} slots > budget {CELL_BUDGET}")
+    for ws, r, m in zip(reduced, reach, top):
+        cells = (m + 1) * len(ws) * prod(1 + m * x for x in r)
+        if cells > CELL_BUDGET:
+            raise EngineLimit(f"weight DP needs {cells} cells > budget {CELL_BUDGET}")
+
+
+def _ladder(layout: WeightLayout, top: tuple[int, ...], ladder):
     """Weight counts of the product of factors with weights `layout`, one
-    packed record per tuple of levels in `ladder`, whose last tuple bounds
-    every other.
+    packed record per tuple of levels in the iterable `ladder`, whose last
+    tuple `top` bounds every other.  `top` is checked against the budget
+    before the first level of `ladder` is read.
 
     Each factor's recurrence runs once, up to its last level, in the box of
     its own reduced weights, so a factor that moves in one coordinate only
@@ -171,12 +184,9 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
     are sized by the total dimension at the last levels, so every product
     fits.
     """
+    _check_budget(layout, top)
     mins, steps, reduced, reach = layout
-    top = ladder[-1]
     axes = range(len(steps))
-    nslots = prod(1 + sum(m * r[i] for m, r in zip(top, reach)) for i in axes)
-    if nslots > CELL_BUDGET:
-        raise EngineLimit(f"packed weight counts need {nslots} slots > budget {CELL_BUDGET}")
     total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(reduced, top))
     nbytes = max(1, (total.bit_length() + 7) // 8)
     rows = [_factor_rows(ws, r, m, nbytes) for ws, r, m in zip(reduced, reach, top)]
@@ -192,15 +202,20 @@ def _ladder(layout: WeightLayout, ladder: list[tuple[int, ...]]):
         yield _Packed(lo, steps, spans, nbytes, packed.to_bytes(prod(spans) * nbytes, _ORDER))
 
 
-def _records(s: Scenario, levels: list[tuple[int, ...]]) -> list[_Packed]:
-    """The packed products of the factors of `s` at each tuple of factor
-    degrees in `levels`, in order, read from the space's level store.  The
-    tuples not stored yet are built in one :func:`_ladder`, sorted by k
-    (each is k * d_j), and stored first."""
-    store = s.space.level_store
+def _records(s: Scenario, ks) -> list[_Packed]:
+    """The packed products of the factors of `s` at each level of the
+    sequence `ks`, in order, read from the space's level store.  The levels
+    not stored yet are built in one :func:`_ladder`, sorted by k, and stored
+    first.  A top level that is not stored is checked against the budget
+    before the per-level list is built, so a huge request fails at once."""
+    store, layout = s.space.level_store, s.space.weight_layout
+    top = _level_degrees(s, max(ks, default=0))
+    if top not in store:
+        _check_budget(layout, top)
+    levels = [_level_degrees(s, k) for k in ks]
     missing = sorted({lv for lv in levels if lv not in store})
     if missing:
-        store.update(zip(missing, _ladder(s.space.weight_layout, missing)))
+        store.update(zip(missing, _ladder(layout, missing[-1], missing)))
     return [store[lv] for lv in levels]
 
 
@@ -257,7 +272,8 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
 def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     """Isotypic dimensions dim H^0(M, L^k)_mu = N(mu) * dim V_mu, one per
     level k of `ks`, in the order given; the levels not stored yet are
-    built in one ladder.
+    built in one ladder.  A range is not expanded before the top level's
+    budget check.
 
     The weight and the bundle are read once; each level then costs one
     slot of its record, two for SU(2), where N(mu) is the torus count at
@@ -265,9 +281,10 @@ def section_dimensions(s: Scenario, mu, ks) -> list[int]:
     """
     vec, dim, twist = s.weight_vec(mu), s.dim_irrep(mu), s.twist_vec
     above = (vec[0] + 2,) if s.group.is_su2 else None
-    ks = list(ks)
+    if iter(ks) is ks:  # a one-shot iterator; _records reads ks twice
+        ks = list(ks)
     out = []
-    for k, p in zip(ks, _records(s, [_level_degrees(s, k) for k in ks])):
+    for k, p in zip(ks, _records(s, ks)):
         n = _weight_count(p, vec, k, twist)
         if above:
             n -= _weight_count(p, above, k, twist)
@@ -288,7 +305,7 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
     Conservation: sum over mu of dim(V_mu) * N(mu) equals
     :func:`total_dimension`.
     """
-    (p,) = _records(s, [_level_degrees(s, k)])
+    (p,) = _records(s, [k])
     return dict(zip(*_multiplicities(p, k, s.twist_vec, s.group.is_su2)))
 
 
@@ -318,13 +335,14 @@ class IsotypicTable:
 
 def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     """Every level 0..k_max from one ladder: each factor's recurrence runs
-    once, up to k_max * d_j, and nothing is cached."""
+    once, up to k_max * d_j, and nothing is cached.  Level k_max is checked
+    against the budget before any level is built."""
     if k_max < 0:
         return IsotypicTable(s, k_max)
     twist, su2 = s.twist_vec, s.group.is_su2
-    ladder = [_level_degrees(s, k) for k in range(k_max + 1)]
+    ladder = (_level_degrees(s, k) for k in range(k_max + 1))
     levels = []
-    for k, p in enumerate(_ladder(s.space.weight_layout, ladder)):
+    for k, p in enumerate(_ladder(s.space.weight_layout, _level_degrees(s, k_max), ladder)):
         mus, ns = _multiplicities(p, k, twist, su2)
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
             ns = [n * (mu + 1) for mu, n in zip(mus, ns)]

@@ -1,13 +1,20 @@
 """Moment images, stability classes, stabilizers and compatibility.
 
+Every answer here reads one of two objects the space owns: the column
+lattice (``Space.column_lattice``) and one stability report per bundle
+(``Space.stability_store``), which :func:`classify_stability` makes once
+and which carries the bundle's moment image.
+
 Moment images of ample linearizations on products of projective spaces are
 computed combinatorially: the image of the Fubini-Study moment map of a
 diagonal linear action is the multidegree-weighted Minkowski sum of the
 per-factor coordinate-weight hulls, translated by the character twist.
-Every section weight of L^k lies in k times this image, which is what the
-vanishing machinery exploits.  Each image keeps its facets as integer
-half-planes, so asking whether mu lies in k times it, or for which k it
-does, takes integer dot products and floor division, never a Fraction.
+Every section weight of L^k lies in k times this image, so mu's counts
+vanish for large k unless mu lies in every large dilate of it; that one
+rule is :func:`vanishing_certificate`, and no other module reads the
+image's scale range.  Each image keeps its facets as integer half-planes,
+so asking whether mu lies in k times it, or for which k it does, takes
+integer dot products and floor division, never a Fraction.
 
 Stability of a bundle is read off the position of the origin:
 
@@ -29,7 +36,8 @@ The generic stabilizer is read off the same column lattice for both group
 kinds (an SU(2) block Sym^m has the torus weights m - 2a): its character
 group is Z^(nf+r) modulo the columns, which is Z^r modulo the lattice the
 coordinate-weight differences span, kept as one lower-triangular basis at
-every torus rank.
+every torus rank.  A weight mu is compatible with L when some r*b1 + (0, mu)
+lies in the column lattice, for the ray b1 = (degrees, -twist).
 """
 
 from __future__ import annotations
@@ -220,6 +228,16 @@ class StabilityReport:
 
 
 def classify_stability(s: Scenario) -> StabilityReport:
+    """The stability class of the bundle and its moment image, made once per
+    bundle and kept on the space (``Space.stability_store``), where every
+    scenario on that space reads it."""
+    store = s.space.stability_store
+    if s.bundle not in store:
+        store[s.bundle] = _stability_report(s)
+    return store[s.bundle]
+
+
+def _stability_report(s: Scenario) -> StabilityReport:
     img = moment_image(s)
     if s.group.is_su2:
         sym = s.factors[0].sym_powers
@@ -242,7 +260,7 @@ def classify_stability(s: Scenario) -> StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# generic stabilizers and associated characters
+# generic stabilizers and compatibility
 
 
 @dataclass(frozen=True)
@@ -250,34 +268,19 @@ class StabilizerData:
     """Generic stabilizer of the action, as far as the torus data sees it.
 
     Its character group is Z^r modulo the lattice spanned by the
-    coordinate-weight differences of the torus weights.  ``lattice`` is the
-    weight block of the column lattice's echelon basis, a lower-triangular
-    basis of the difference lattice: column i is zero above
-    coordinate i and positive at it, so ``order`` is the product of the
-    diagonal and every coset has one residue in the box
-    0 <= x_i < lattice[i][i].  For circle powers this is the full generic
-    stabilizer (kernel of all coordinate-weight differences).  For su2 it
-    is the part in the maximal torus, {+-1} or trivial; a generic
-    stabilizer outside the torus, as for binary cubics, is not seen.
+    coordinate-weight differences of the torus weights, whose
+    lower-triangular basis the column lattice keeps
+    (``ColumnLattice.stabilizer``): ``order`` is the product of its
+    diagonal, and ``invariant_factors`` are the group's Smith invariants.
+    For circle powers this is the full generic stabilizer (kernel of all
+    coordinate-weight differences).  For su2 it is the part in the maximal
+    torus, {+-1} or trivial; a generic stabilizer outside the torus, as for
+    binary cubics, is not seen.
     """
 
     finite: bool
     order: int | None
     invariant_factors: tuple[int, ...] = ()
-    lattice: tuple[tuple[int, ...], ...] = ()
-
-    def residue(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        """The representative of vec modulo the lattice in the box."""
-        if not self.finite:
-            raise UnsupportedScenario("residues undefined for infinite stabilizers")
-        for i, col in enumerate(self.lattice):
-            q = vec[i] // col[i]
-            vec = tuple(x - q * y for x, y in zip(vec, col))
-        return vec
-
-    def contains(self, vec: tuple[int, ...]) -> bool:
-        """Membership of an integer vector in the difference lattice."""
-        return not any(self.residue(vec))
 
 
 def generic_stabilizer(s: Scenario) -> StabilizerData:
@@ -288,22 +291,15 @@ def generic_stabilizer(s: Scenario) -> StabilizerData:
     order = prod(col[i] for i, col in enumerate(lattice))
     # Smith invariants at rank <= 2: the gcd of all entries, then the rest
     content = gcd(*itertools.chain.from_iterable(lattice))
-    return StabilizerData(True, order, (content, order // content)[: len(lattice)], lattice)
+    return StabilizerData(True, order, (content, order // content)[: len(lattice)])
 
 
 @dataclass(frozen=True)
 class CompatibilityCertificate:
-    """Witness data for the positivity criterion chi^r . conj(mu_K) = 1.
+    """Witness of the positivity criterion chi^r . conj(mu_K) = 1:
+    ``witness`` is the least r in [1, |K|] with r*b1 + (0, mu) in the
+    column lattice, or None when no r exists."""
 
-    ``chi`` and ``mu_k`` are residues of the bundle fiber character and of
-    the restricted weight character in the stabilizer's residue
-    coordinates; ``witness`` is the smallest r in [1, |K|] solving
-    r*chi = mu_k, or None when no r exists.
-    """
-
-    stabilizer: StabilizerData
-    chi: tuple[int, ...]
-    mu_k: tuple[int, ...]
     witness: int | None
 
     @property
@@ -311,37 +307,22 @@ class CompatibilityCertificate:
         return self.witness is not None
 
 
-def bundle_fiber_character(s: Scenario, stab: StabilizerData) -> tuple[int, ...]:
-    """Residue of the character by which K acts on the fiber of L at a
-    general point: sum_j d_j * w_{j,0} + c restricted to K."""
-    base = s.twist_vec
-    for ws, d in zip(s.space.torus_weights, s.bundle.degrees):
-        # well-definedness: every coordinate choice must give the same residue
-        if not all(stab.contains(tuple(d * (x - y) for x, y in zip(w, ws[0]))) for w in ws):
-            raise RuntimeError("fiber character depends on the reference coordinate")
-        base = tuple(b + d * x for b, x in zip(base, ws[0]))
-    return stab.residue(base)
-
-
 def numerically_compatible(s: Scenario, mu) -> CompatibilityCertificate:
-    """Search r in [1, |K|] with r*chi = mu_K in the stabilizer's character
-    group; existence is exactly the positivity criterion for vol_mu on
-    regular bundles."""
+    """Search r in [1, |K|] with r*b1 + (0, mu) in the column lattice, for
+    b1 = ``Scenario.ray``.  Reducing by the basis vectors (e_j, w_j0) leaves
+    mu - r(c + sum_j d_j w_j0), which lies in the difference lattice exactly
+    when r*chi = mu_K for the fiber character chi of L: existence is the
+    positivity criterion for vol_mu on regular bundles."""
     stab = generic_stabilizer(s)
     if not stab.finite:
         raise UnsupportedScenario("compatibility undefined for infinite generic stabilizers")
-    mu_vec = s.weight_vec(mu)
+    b0 = (0,) * len(s.factors) + s.weight_vec(mu)
     s.check_dominant(mu)
-    chi = bundle_fiber_character(s, stab)
-    mu_res = stab.residue(mu_vec)
-    witness = None
-    for r in range(1, stab.order + 1):
-        acc = tuple(r * x for x in chi)
-        diff = tuple(a - b for a, b in zip(acc, mu_res))
-        if stab.contains(diff):
-            witness = r
-            break
-    return CompatibilityCertificate(stab, chi, mu_res, witness)
+    lat = s.space.column_lattice
+    witness = next(
+        (r for r in range(1, stab.order + 1) if lat.spans(tuple(r * x + y for x, y in zip(s.ray, b0)))), None
+    )
+    return CompatibilityCertificate(witness)
 
 
 def predicted_volume(s: Scenario, mu, vol0: Rational) -> Rational:
@@ -400,17 +381,15 @@ def dh_slice_volume(s: Scenario) -> Rational:
 
 
 def vanishing_certificate(s: Scenario, mu) -> int | None:
-    """Explicit r beyond which mu falls outside every r-scaled moment
-    image, hence all its isotypic dimensions vanish; None when 0 lies in
-    the image (no certificate)."""
-    img = moment_image(s)
-    if img.contains_zero():
-        return None
+    """The least r >= 1 such that mu lies outside k times the moment image
+    for every k >= r, so that dim H^0(L^k)_mu = 0 there; None when mu lies
+    in every large dilate.  This is the one reading of the image's scale
+    range: ``volumes`` calls a weight eventually zero exactly when it is
+    not None."""
+    img = classify_stability(s).moment_image
     mu_vec = s.weight_vec(mu)
     s.check_dominant(mu)
     r_min, r_max = img.scale_range(mu_vec)
-    if r_max is None:
-        if r_min is None:
-            return 1
-        raise RuntimeError("unbounded scale range although 0 is outside the image")
-    return r_max + 1
+    if r_min is None:
+        return 1
+    return None if r_max is None else r_max + 1

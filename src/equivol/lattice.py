@@ -7,10 +7,12 @@ b1 = (degrees, -twist) is ``Scenario.ray``.  Everything read off A is
 built here once per space (``Space.column_lattice``), and every bundle on
 the space reads it:
 
-* an echelon basis of the lattice the columns span.  Its pivot rows are a
-  maximal independent set of A's rows.  Eliminating the factor rows leaves
-  the weight differences, so Z^(nf+r) modulo the columns is Z^r modulo the
-  difference lattice, the character group of the generic stabilizer;
+* an echelon basis of the lattice the columns span, and membership in it
+  (``ColumnLattice.spans``).  Its pivot rows are a maximal independent set
+  of A's rows.  Eliminating the factor rows leaves the weight differences,
+  so Z^(nf+r) modulo the columns is Z^r modulo the difference lattice, the
+  character group of the generic stabilizer, and mu is compatible with L
+  exactly when some r*b1 + (0, mu) lies in the lattice;
 * the lcm of the maximal minors, which the period of the counts divides
   (Sturmfels, "On vector partition functions", JCTA 1995);
 * the walls, sets of rank A - 1 independent columns, with their cofactor
@@ -82,22 +84,36 @@ def echelon(vectors, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
 @dataclass(frozen=True)
 class ColumnLattice:
     """The weight matrix A on its kept rows ``keep``: the echelon pivots,
-    d = rank A of them.
+    d = rank A of them, of the echelon ``basis`` of the lattice A's columns
+    span.
 
     ``contents`` holds the gcd of each kept row and ``minors_lcm`` the lcm
     of the nonzero maximal minors of A with each row divided by its
     content.  Each wall is a pair (d - 1 distinct columns, their cofactor
     normal n), with <n, b> = det(wall columns, b); sets of dependent
-    columns, whose normal is 0, are left out.  ``stabilizer`` is the weight block of the echelon basis: a
-    lower-triangular basis of the difference lattice with a positive
-    diagonal, or None when that lattice has rank < r.
+    columns, whose normal is 0, are left out.  ``stabilizer`` is the weight
+    block of the echelon basis: a lower-triangular basis of the difference
+    lattice with a positive diagonal, or None when that lattice has rank
+    < r.
     """
 
     keep: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
     contents: tuple[int, ...]
     minors_lcm: int
     walls: tuple[tuple[tuple, tuple[int, ...]], ...]
     stabilizer: tuple[tuple[int, ...], ...] | None
+
+    def spans(self, v) -> bool:
+        """Whether the integer vector v of length nf + r lies in the lattice:
+        each basis vector in turn, zero above its pivot, reduces v's pivot
+        entry modulo its own, and v lies in the lattice iff nothing is left
+        over, that is, iff every division is exact and every row outside
+        ``keep`` ends at 0."""
+        for i, b in zip(self.keep, self.basis):
+            q = v[i] // b[i]
+            v = tuple(x - q * y for x, y in zip(v, b))
+        return not any(v)
 
     def cut(self, v) -> tuple[int, ...]:
         """The entries of a vector of length nf + r on the kept rows."""
@@ -137,4 +153,4 @@ def column_lattice(torus_weights) -> ColumnLattice:
             walls.append((wall, n))
     # the factor rows always pivot, and their basis vectors come first
     stabilizer = tuple(v[nf:] for v in basis[nf:]) if d == nf + r else None
-    return ColumnLattice(keep, contents, minors_lcm, tuple(walls), stabilizer)
+    return ColumnLattice(keep, basis, contents, minors_lcm, tuple(walls), stabilizer)

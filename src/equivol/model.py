@@ -120,7 +120,7 @@ class Space:
     properties, and every scenario on this space reads the same objects:
     :func:`with_bundle` keeps the space and changes only the bundle.
     Equality and hashing are by value; a space parsed on its own starts
-    with nothing built and an empty level store."""
+    with nothing built and empty stores."""
 
     group: GroupSpec
     factors: tuple[ProjectiveFactor, ...]
@@ -165,6 +165,13 @@ class Space:
         ``volumes`` fits them: one weight's class polynomials each.  A fit
         depends on the bundle and the weight alone, so it is made once for
         every scenario on the space that reads it."""
+        return {}
+
+    @cached_property
+    def stability_store(self) -> dict:
+        """The stability reports on this space, by bundle, as
+        ``geometry.classify_stability`` makes them: the class and the moment
+        image of each bundle, made once for every scenario on the space."""
         return {}
 
 

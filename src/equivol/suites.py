@@ -140,12 +140,14 @@ def _oracle(s):
 
 def _homogeneity(s):
     """vol_mu(L^p) = p^(n-g) vol_mu(L) for gcd(p, e)=1, and the
-    unconditional trivial-representation law for q in [1, 6].
+    unconditional trivial-representation law for q in [1, 6].  The exponent
+    n - g is clamped at 0, as every volume is normalized
+    (``Scenario.growth_degree``).
 
     At q = 1 both sides read one stored fit, since ``scenario_power(s, 1)``
     has the space and the bundle of `s`: that check compares one
     deterministic computation with itself, not two derivations."""
-    D = s.quotient_degree
+    D = s.growth_degree
     vol0 = equivariant_volume(s, s.zero_weight)
     if vol0.finite:
         for q in range(1, 7):
@@ -209,16 +211,16 @@ def _vanishing(s):
     """Counted support lies in the scaled moment image for k <= 12; on
     unstable scenarios the counts vanish from the emitted bound up to
     k = 40."""
-    img = geometry.moment_image(s)
+    report = geometry.classify_stability(s)
     bad = [
         (k, render_weight(mu))
         for k in range(1, 13)
         for mu in full_weight_distribution(s, k)
-        if not img.scaled_contains(s.weight_vec(mu), k)
+        if not report.moment_image.scaled_contains(s.weight_vec(mu), k)
     ]
     claim = "support of H^0(L^k) inside k * moment image, k <= 12"
     yield claim, f"{len(bad)} escapes", "0 escapes", not bad, {"escapes": bad[:5]}
-    if geometry.classify_stability(s).stability != "unstable_everywhere":
+    if report.stability != "unstable_everywhere":
         return
     for mu in s.default_mus():
         r = geometry.vanishing_certificate(s, mu)

@@ -17,7 +17,9 @@ on the columns alone and are read from the space's column lattice
 scales the minors' lcm by the classes b1 leaves to each row's content and
 finds k0 from dot products with the walls' normals.
 
-A fit reads one weight: its class polynomials depend on the space, the
+A weight whose counts the moment image shows to vanish for large k
+(``geometry.vanishing_certificate`` is not None) has volume 0 with no
+fit.  A fit reads one weight: its class polynomials depend on the space, the
 bundle and mu alone, so each is made once and kept on the space
 (``Space.fit_store``, by bundle and weight), where every scenario on that
 space reads it.  A stored fit is served also after CELL_BUDGET falls,
@@ -185,16 +187,6 @@ def _levels(s: Scenario, mu) -> list[list[int]]:
     return [[k0 + (r - k0) % period + j * period for j in range(width)] for r in range(period)]
 
 
-def _eventually_zero(s: Scenario, mu) -> bool:
-    """Whether the moment image alone shows dim H^0(L^k)_mu = 0 for large k:
-    0 lies outside it, or mu lies in no dilate of it or in finitely many."""
-    img = geometry.moment_image(s)
-    if not img.contains_zero():
-        return True
-    k_min, k_max = img.scale_range(s.weight_vec(mu))
-    return k_min is None or k_max is not None
-
-
 def _class_polys(s: Scenario, mu) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The fit at weight `mu`: cap = #columns - rank A and, for each class r
     mod P, cap! P^cap times the polynomial that dim H^0(L^k)_mu equals on
@@ -250,7 +242,7 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
 def residue_volume(s: Scenario, mu, f: int) -> ResidueVolume:
     """limsup of (n-g)! h^0_mu(L^k)/k^(n-g) along k = f (mod e_G(L))."""
     s.check_dominant(mu)
-    if _eventually_zero(s, mu):
+    if geometry.vanishing_certificate(s, mu) is not None:
         return ResidueVolume(f, _estimate(s, Fraction(0), ZERO))
     estimates = _residue_estimates(s, mu)
     f %= len(estimates)
@@ -261,7 +253,7 @@ def equivariant_volume(s: Scenario, mu) -> VolumeEstimate:
     """vol_mu(L): the maximum of the residue-class volumes, attained first
     at the reported residue, or the first infinite one."""
     s.check_dominant(mu)
-    if _eventually_zero(s, mu):
+    if geometry.vanishing_certificate(s, mu) is not None:
         return _estimate(s, Fraction(0), ZERO)
     estimates = _residue_estimates(s, mu)
     infinite = [est for est in estimates if est.status == INFINITE]

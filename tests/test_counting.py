@@ -23,6 +23,7 @@ from equivol import (
     circle_scenario,
     counting,
     full_weight_distribution,
+    g_exponent,
     isotypic_table,
     scenario_from_dict,
     scenario_power,
@@ -204,17 +205,35 @@ def test_isotypic_table_budget_guard(p2_circle, p1p1_diag, monkeypatch):
     assert isotypic_table(p2_circle, -1).entries == {}
 
 
+def test_budget_checked_on_the_top_level_before_any_level_list(p2_circle, monkeypatch):
+    # a table or a semigroup far past the budget fails on its top level,
+    # before a level tuple is built for every k below it
+    calls = []
+    true_degrees = counting._level_degrees
+
+    def counted(s, k):
+        calls.append(k)
+        return true_degrees(s, k)
+
+    monkeypatch.setattr(counting, "_level_degrees", counted)
+    with pytest.raises(EngineLimit, match="budget"):
+        isotypic_table(p2_circle, 10**6)
+    with pytest.raises(EngineLimit, match="budget"):
+        g_exponent(p2_circle, 10**6)
+    assert len(calls) <= 4
+
+
 def test_packed_counts_divide_out_the_weight_step(p1_hyperplane, su2_p3):
     # weights (1, -1) move in steps of 2: level 4 spans 5 slots, not 9, and
     # the decoded counts keep the zeros between the weights
-    (p,) = counting._records(p1_hyperplane, [(4,)])
+    (p,) = counting._records(p1_hyperplane, [4])
     assert (p.lo, p.steps, p.spans) == ((-4,), (2,), (5,))
     assert [section_dimension(p1_hyperplane, 2, mu) for mu in range(-2, 3)] == [1, 0, 1, 0, 1]
     assert full_weight_distribution(su2_p3, 1) == {1: 2}
     assert section_dimension(p1_hyperplane, 4, 1) == 0
     # a constant coordinate keeps step 1 and span 1
     s = circle_scenario([[(2, 5), (-2, 5)], [(0, 5), (4, 5)]], [1, 1])
-    (p,) = counting._records(s, [(3, 3)])
+    (p,) = counting._records(s, [3])
     assert (p.lo, p.steps, p.spans) == ((-6, 30), (4, 1), (7, 1))
     assert_oracle_agrees(s, range(0, 4))
 
@@ -338,6 +357,7 @@ def test_rank2_cell_budget_guard(monkeypatch):
 def test_section_dimensions_pins(su2_p3, p2_circle):
     assert section_dimensions(su2_p3, 3, [5, 0, 4, 3, 5]) == [16, 0, 0, 16, 16]
     assert section_dimensions(p2_circle, 0, [2 * r for r in range(5)]) == [1, 2, 3, 4, 5]
+    assert section_dimensions(p2_circle, 0, (2 * r for r in range(5))) == [1, 2, 3, 4, 5]
     assert section_dimensions(p2_circle, 0, []) == []
 
 

@@ -11,12 +11,17 @@ from equivol import (
     dh_slice_volume,
     equivariant_volume,
     generic_stabilizer,
+    geometry,
     moment_image,
     numerically_compatible,
     predicted_volume,
+    scenario_power,
     section_dimension,
+    section_dimensions,
     su2_scenario,
+    validate_scenario,
     vanishing_certificate,
+    with_bundle,
 )
 
 
@@ -171,6 +176,33 @@ def test_classify_su2(su2_p3):
     assert classify_stability(su2_scenario([[2, 1]], [1])).stability == "boundary"
 
 
+def test_one_stability_report_per_space_and_bundle(p2_circle, monkeypatch):
+    # the report and its moment image are made once per bundle and kept on
+    # the space; every scenario with that space and bundle reads them
+    s = validate_scenario(p2_circle)
+    builds = []
+    true_image = geometry.moment_image
+
+    def counted(t):
+        builds.append(t.bundle)
+        return true_image(t)
+
+    monkeypatch.setattr(geometry, "moment_image", counted)
+    rep = classify_stability(s)
+    for t in (s, scenario_power(s, 1), with_bundle(s, s.bundle)):
+        assert classify_stability(t) is rep
+        vanishing_certificate(t, 3)
+        equivariant_volume(t, 3)
+    assert builds == [s.bundle] and s.space.stability_store == {s.bundle: rep}
+    square = scenario_power(s, 2)
+    assert classify_stability(square).moment_image.interval == (-2, 2)
+    assert builds == [s.bundle, square.bundle]
+    # a separately validated copy has a space of its own, with an empty store
+    copy = validate_scenario(s)
+    assert copy.space.stability_store == {}
+    assert classify_stability(copy) == rep and len(builds) == 3
+
+
 # --- stabilizers ------------------------------------------------------------
 
 
@@ -264,9 +296,9 @@ def test_compatibility_infinite_stabilizer_rejected():
 
 def test_exponent_equals_character_order(corpus):
     # on regular scenarios the G-exponent is the order of the bundle's
-    # fiber character in the stabilizer's character group
+    # fiber character in the stabilizer's character group: the least r with
+    # r*b1 in the column lattice, the compatibility witness of the zero weight
     from equivol import g_exponent
-    from equivol.geometry import bundle_fiber_character
 
     checked = 0
     for name, s in corpus:
@@ -276,13 +308,7 @@ def test_exponent_equals_character_order(corpus):
             continue
         if classify_stability(s).stability != "regular":
             continue
-        stab = generic_stabilizer(s)
-        chi = bundle_fiber_character(s, stab)
-        order = next(
-            r for r in range(1, stab.order + 1)
-            if stab.residue(tuple(r * x for x in chi)) == stab.residue((0,) * len(chi))
-        )
-        assert g_exponent(s, 40).exponent == order, name
+        assert g_exponent(s, 40).exponent == numerically_compatible(s, s.zero_weight).witness, name
         checked += 1
     assert checked >= 8
 
@@ -370,6 +396,17 @@ def test_vanishing_certificate_example(p1_unstable):
 
 def test_vanishing_certificate_absent_on_regular(p2_circle):
     assert vanishing_certificate(p2_circle, 3) is None
+
+
+def test_vanishing_certificate_reads_every_bundle(corpus):
+    # 0 lies on a vertex of [0, 1], so no weight below it is in any dilate,
+    # and every weight above it is in every large one
+    s = dict(corpus)["p3_last_coordinate"]
+    for mu in range(-3, 0):
+        assert vanishing_certificate(s, mu) == 1
+        assert not any(section_dimensions(s, mu, range(1, 13))), mu
+        assert equivariant_volume(s, mu).status == "zero"
+    assert [vanishing_certificate(s, mu) for mu in range(0, 4)] == [None] * 4
 
 
 def test_vanishing_certificate_strictly_positive_weights():

@@ -255,8 +255,9 @@ def test_module_state_check_flags_empty_containers(source, empty):
 
 def test_no_new_module_level_caches():
     # per-scenario state belongs on objects: a module-level cache grows
-    # without bound.  The packed levels and the volume fits live on the
-    # space (Space.level_store, Space.fit_store), so nothing is allowed here
+    # without bound.  The packed levels, the volume fits and the stability
+    # reports live on the space (Space.level_store, Space.fit_store,
+    # Space.stability_store), so nothing is allowed here
     found = set()
     for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -268,6 +269,24 @@ def test_no_new_module_level_caches():
                 found.update(f"{path.stem}.{getattr(x, 'id', x.lineno)}" for x in targets)
             elif any(_is_cache(n) for n in ast.walk(node)):
                 found.add(f"{path.stem}:{node.lineno}")
+    assert not found, found
+
+
+def test_only_geometry_reads_the_moment_image_scale():
+    # one vanishing rule: no module outside geometry builds a moment image
+    # or reads its scale range.  Reading a stability report's moment_image
+    # field, as cli does, is not a call and stays allowed
+    found = []
+    for path in sorted(Path(equivol.__file__).parent.glob("*.py")):
+        if path.stem == "geometry":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(node, ast.Attribute) and node.attr == "scale_range") or (
+                func is not None
+                and (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "moment_image"
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
     assert not found, found
 
 

@@ -9,7 +9,9 @@ against the fitted volume on random regular P^1..P^5 scenarios; moment
 image queries against a point-in-hull test in Fractions; generic
 stabilizers against the gcd of the maximal minors of the weight
 differences and of the weight matrix's columns, whose kept rows are
-checked against a rank in Fractions; stability classes against a search
+checked against a rank in Fractions; membership in the column lattice
+against integer combinations of its columns, the stabilizer's index and
+the counted sections; stability classes against a search
 over coordinate supports; the homogeneity and exponent laws on random
 rank-1 scenarios; and random scenarios read back from their document form.
 
@@ -47,6 +49,7 @@ from equivol import (
     su2_scenario,
     total_dimension,
     validate_scenario,
+    vanishing_certificate,
     volumes,
     with_bundle,
 )
@@ -424,6 +427,14 @@ def _difference_vectors(s):
     ]
 
 
+def _difference_index(s) -> int:
+    """|K|, the index of the difference lattice in Z^r: the gcd of the
+    maximal minors of the difference vectors, 0 when they do not span."""
+    diffs = _difference_vectors(s)
+    minors = [d[0] for d in diffs] if s.group.torus_rank == 1 else [_cross(a, b) for a, b in combinations(diffs, 2)]
+    return gcd(*minors)
+
+
 @SETTINGS
 @example(su2_scenario([[0, 0]], [1]))  # every block Sym^0: the action is trivial
 @given(
@@ -434,24 +445,55 @@ def _difference_vectors(s):
     )
 )
 def test_generic_stabilizer_matches_maximal_minors(s):
-    # |K| is the index of the difference lattice: the gcd of the maximal
-    # minors of the difference vectors, 0 when they do not span
-    diffs = _difference_vectors(s)
-    rank = s.group.torus_rank
-    minors = [d[0] for d in diffs] if rank == 1 else [_cross(a, b) for a, b in combinations(diffs, 2)]
-    order = gcd(*minors)
+    order, rank = _difference_index(s), s.group.torus_rank
     stab = generic_stabilizer(s)
     assert (stab.finite, stab.order) == (order > 0, order or None)
     if not order:
         return
-    content = gcd(*(x for d in diffs for x in d))
+    content = gcd(*(x for d in _difference_vectors(s) for x in d))
     assert stab.invariant_factors == ((order,) if rank == 1 else (content, order // content))
-    assert all(stab.contains(d) for d in diffs)
-    # order * Z^r lies in the lattice, so a box of side `order` meets every
-    # coset; residue picks one representative of each
-    residues = {stab.residue(v) for v in product(range(order), repeat=rank)}
-    assert len(residues) == order
-    assert all(stab.residue(r) == r for r in residues)
+
+
+@SETTINGS
+@example(su2_scenario([[0, 0]], [1]), [1, -1] + [0] * 6)  # every block Sym^0: the action is trivial
+@example(circle_scenario([[(1, 2), (3, 6)], [(0, 0), (-1, -2)]], [1, 1]), [1, -2, 3, 0] + [0] * 4)  # differences on one line
+@given(
+    st.one_of(
+        rank1_scenarios(),
+        rank2_scenarios(),
+        su2_scenarios().filter(lambda s: len(s.factors) == 1),
+    ),
+    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+)
+def test_column_lattice_spans_exactly_its_members(s, coeffs):
+    # every integer combination of the columns (e_j, w) spans, and no unit
+    # vector at a row outside `keep` does: that row is a rational
+    # combination of the rows above it, on which the unit vector is 0.
+    # (0, x) spans iff x lies in the difference lattice, whose index in Z^r
+    # is |K| and which holds |K| Z^r: at full rank exactly |K|^(r-1) points
+    # of the box [0, |K|)^r span
+    lat = s.space.column_lattice
+    rows = _weight_matrix_rows(s)
+    assert lat.spans(tuple(sum(c * x for c, x in zip(coeffs, row)) for row in rows))
+    units = [tuple(int(j == i) for j in range(len(rows))) for i in range(len(rows))]
+    assert not any(lat.spans(units[i]) for i in range(len(rows)) if i not in lat.keep)
+    order, rank = _difference_index(s), s.group.torus_rank
+    if order:
+        zeros = (0,) * len(s.factors)
+        members = [x for x in product(range(order), repeat=rank) if lat.spans(zeros + x)]
+        assert len(members) == order ** (rank - 1)
+
+
+@SETTINGS
+@given(st.one_of(rank1_scenarios(), rank2_scenarios(), su2_scenarios().filter(lambda s: len(s.factors) == 1)))
+def test_counted_sections_lie_in_the_column_lattice(s):
+    # a section of L^k of weight mu is an alpha >= 0 with
+    # A alpha = k*b1 + (0, mu), so a positive count puts that vector in the
+    # lattice the columns of A span
+    lat, zeros = s.space.column_lattice, (0,) * len(s.factors)
+    for k in range(7):
+        for mu in full_weight_distribution(s, k):
+            assert lat.spans(tuple(k * x + y for x, y in zip(s.ray, zeros + s.weight_vec(mu)))), (k, mu)
 
 
 def _weight_matrix_rows(s):
@@ -632,7 +674,7 @@ def test_exponent_law(s, p):
 def test_fit_classes_at_the_zero_weight_give_the_exponent(s):
     # two routes to e_G(L): the residue classes the fit reports at the zero
     # weight, and the gcd of the invariant semigroup read up to M_MAX
-    assume(supported(s) and not volumes._eventually_zero(s, s.zero_weight))
+    assume(supported(s) and vanishing_certificate(s, s.zero_weight) is None)
     e = g_exponent(s).exponent
     assume(e is not None)
     assert len(volumes._residue_estimates(s, s.zero_weight)) == e

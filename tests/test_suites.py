@@ -90,6 +90,17 @@ def test_geometry_suites_skip_unsupported_scenarios():
         assert (rep.scenarios, rep.records, rep.passed) == (["su2_two_factors"], [], True)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("sym", [[1], [2], [1, 0], [0, 1], [0, 0], [0, 0, 0]])
+def test_small_su2_documents_pass_every_suite(sym, degree):
+    # SU(2) on P^1 and P^2, where n - g < 0 for every document: each law
+    # normalizes with the clamped degree max(n - g, 0), as volumes do
+    s = su2_scenario([sym], [degree])
+    for name in [n for n in SUITE_NAMES if n != "continuity"]:  # continuity runs on its own family
+        rep = run_suite(name, [("doc", s)])
+        assert rep.passed, (name, [r for r in rep.records if not r.passed][:3])
+
+
 def test_corpus_covers_all_classes(corpus):
     from equivol import classify_stability
 
