@@ -86,7 +86,8 @@ def _write(text: str, path) -> None:
 
 
 def _emit(rows, fieldnames, args):
-    """Rows are tuples in `fieldnames` order; JSON writes one object per row."""
+    """Rows are tuples in `fieldnames` order, read once, so a one-pass
+    iterator serves; JSON writes one object per row."""
     if args.format == "json":
         text = tables.to_json([dict(zip(fieldnames, row)) for row in rows])
     else:
@@ -97,16 +98,16 @@ def _emit(rows, fieldnames, args):
 def cmd_multiplicity(args) -> int:
     s = load_scenario(args.scenario)
     if args.all_mu:
-        items = [
-            ((args.k, mu), n * s.dim_irrep(mu))
-            for mu, n in full_weight_distribution(s, args.k).items()
-        ]
+        if args.mu is not None:
+            raise InputError("multiplicity takes --mu or --all-mu, not both")
+        dist = full_weight_distribution(s, args.k)
+        level = (args.k, list(dist), [n * s.dim_irrep(mu) for mu, n in dist.items()])
     else:
         if args.mu is None:
             raise InputError("multiplicity needs --mu or --all-mu")
         mu = _parse_mu(args.mu)
-        items = [((args.k, mu), section_dimension(s, args.k, mu))]
-    _emit(tables.multiplicity_rows(s, items), ["k", "mu", "dim"], args)
+        level = (args.k, [mu], [section_dimension(s, args.k, mu)])
+    _emit(tables.multiplicity_rows(s, [level]), ["k", "mu", "dim"], args)
     return 0
 
 

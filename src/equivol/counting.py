@@ -207,9 +207,10 @@ def _records(s: Scenario, ks) -> list[_Packed]:
     sequence `ks`, in order, read from the space's level store.  The levels
     not stored yet are built in one :func:`_ladder`, sorted by k, and stored
     first.  A top level that is not stored is checked against the budget
-    before the per-level list is built, so a huge request fails at once."""
+    before the per-level list is built, so a huge request fails at once;
+    the top of a range is read off its ends, without iterating it."""
     store, layout = s.space.level_store, s.space.weight_layout
-    top = _level_degrees(s, max(ks, default=0))
+    top = _level_degrees(s, max(ks[0], ks[-1]) if isinstance(ks, range) and ks else max(ks, default=0))
     if top not in store:
         _check_budget(layout, top)
     levels = [_level_degrees(s, k) for k in ks]
@@ -313,7 +314,7 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
 class IsotypicTable:
     """Exact isotypic dimensions (k, mu) -> N(mu) * dim V_mu for
     k = 0..k_max, stored by level as the ladder yields them: ``levels[k]``
-    is a pair of lists (weights mu in weight order, their dimensions).
+    is a triple (k, weights mu in weight order, their dimensions).
 
     Levels cover the support only; absent pairs have dimension 0.
     Treat instances as immutable once built.
@@ -324,13 +325,15 @@ class IsotypicTable:
     levels: list = field(default_factory=list)
 
     def sorted_items(self) -> list:
-        """((k, mu), dim) items in (k, weight vector) order."""
-        return list(chain.from_iterable(zip(zip(repeat(k), mus), ns) for k, (mus, ns) in enumerate(self.levels)))
+        """The (k, weights, dims) levels in k order, grouped by level, each
+        level's weights in weight vector order: the table's own triples and
+        lists, not a copy."""
+        return self.levels
 
     @property
     def entries(self) -> dict:
-        """The map (k, mu) -> dim of :meth:`sorted_items`."""
-        return dict(self.sorted_items())
+        """The map (k, mu) -> dim of every level."""
+        return dict(chain.from_iterable(zip(zip(repeat(k), mus), ns) for k, mus, ns in self.levels))
 
 
 def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
@@ -346,7 +349,7 @@ def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
         mus, ns = _multiplicities(p, k, twist, su2)
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
             ns = [n * (mu + 1) for mu, n in zip(mus, ns)]
-        levels.append((mus, ns))
+        levels.append((k, mus, ns))
     return IsotypicTable(s, k_max, levels)
 
 

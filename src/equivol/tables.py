@@ -4,9 +4,11 @@ Identical inputs produce byte-identical files: rows keep the
 lexicographic (k, weight vector) order their callers pass them in (the
 emitters do not sort), rationals render as ``p/q`` in lowest terms (plain
 integer string when integral), and JSON is emitted with sorted keys and a
-fixed separator convention.  Every row emitter returns tuples in the order
+fixed separator convention.  Every row emitter yields tuples in the order
 of its header; CSV writes them as they are, and JSON zips each with the
-header into an object.
+header into an object.  :func:`multiplicity_rows` streams its rows level
+by level from the levels' own lists, so a table is never copied into a
+list of rows, and each reader reads them once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 
 
 def render_rational(x) -> str:
@@ -39,15 +42,18 @@ class _Names(dict):
         return name
 
 
-def multiplicity_rows(s, items):
-    """(k, mu, dim) rows, one per ((k, mu), dim) item, in the order given.
+def multiplicity_rows(s, levels):
+    """(k, mu, dim) rows from (k, weights, dims) levels, one row per weight,
+    in the order given, as a one-pass iterator.
 
-    Callers pass the items in lexicographic (k, weight) order, which is
-    the order of the rows; `s` is not consulted.  Each distinct weight is
-    rendered once, and its rows share the string.
+    Callers pass the levels in k order and each level's weights in weight
+    order, which is the order of the rows; `s` is not consulted.  Each
+    distinct weight is rendered once, and its rows share the string.  The
+    rows are zipped from the levels' lists by C iterators, so no Python
+    code runs per row.
     """
     names = _Names()
-    return [(k, names[mu], dim) for (k, mu), dim in items]
+    return chain.from_iterable(zip(repeat(k), map(names.__getitem__, mus), ns) for k, mus, ns in levels)
 
 
 def volume_rows(pairs):

@@ -195,6 +195,7 @@ def test_mu_required(capsys):
         (["classify", "--scenario", SU2_UNSTABLE, "--mu-range=-5..-1"], "no dominant weight in range '-5..-1'"),
         (["classify", "--scenario", SU2, "--mu-range=abc"], "cannot parse range 'abc'"),
         (["classify", "--scenario", SU2, "--mu-range=3..1"], "empty range '3..1'"),
+        (["multiplicity", "--scenario", P2, "--k", "1", "--mu", "1", "--all-mu"], "takes --mu or --all-mu, not both"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):

@@ -9,6 +9,7 @@ trusted.
 import json
 import random
 import sys
+import time
 from itertools import product
 from math import prod
 from operator import mul
@@ -169,7 +170,8 @@ def test_sorted_items_in_weight_order(corpus):
     for name, s in corpus:
         table = isotypic_table(s, 6)
         by_vector = sorted(table.entries.items(), key=lambda kv: (kv[0][0], s.weight_vec(kv[0][1])))
-        assert table.sorted_items() == by_vector, name
+        flat = [((k, mu), n) for k, mus, ns in table.sorted_items() for mu, n in zip(mus, ns)]
+        assert flat == by_vector, name
 
 
 def level_entries(s, k_max):
@@ -221,6 +223,19 @@ def test_budget_checked_on_the_top_level_before_any_level_list(p2_circle, monkey
     with pytest.raises(EngineLimit, match="budget"):
         g_exponent(p2_circle, 10**6)
     assert len(calls) <= 4
+
+
+def test_budget_check_reads_the_top_of_a_range_off_its_ends(p2_circle):
+    # g_exponent asks for the levels range(1, m_max + 1): iterating a
+    # hundred million of them to find the top took about 4 s of CPU time
+    start = time.process_time()
+    with pytest.raises(EngineLimit, match="budget"):
+        g_exponent(p2_circle, 10**8)
+    with pytest.raises(EngineLimit, match="budget"):
+        counting._records(p2_circle, range(10**8, 0, -1))
+    assert time.process_time() - start < 0.5
+    # an empty range reads level 0, as an empty list does
+    assert counting._records(p2_circle, range(0)) == counting._records(p2_circle, []) == []
 
 
 def test_packed_counts_divide_out_the_weight_step(p1_hyperplane, su2_p3):

@@ -248,9 +248,9 @@ def test_table_csv_matches_dictwriter_of_levels(kind, data):
     s = data.draw(KINDS[kind])
     k_max = data.draw(st.integers(0, 6))
     table = isotypic_table(s, k_max)
-    items = table.sorted_items()
-    assert to_csv(multiplicity_rows(s, items), ["k", "mu", "dim"]) == _dictwriter_table(s, k_max)
-    assert table.entries == dict(items)
+    levels = table.sorted_items()
+    assert to_csv(multiplicity_rows(s, levels), ["k", "mu", "dim"]) == _dictwriter_table(s, k_max)
+    assert table.entries == {(k, mu): n for k, mus, ns in levels for mu, n in zip(mus, ns)}
 
 
 LADDER_KINDS = {"rank1": rank1_scenarios(), "rank2": rank2_scenarios(), "su2": su2_scenarios()}

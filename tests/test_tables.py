@@ -4,12 +4,14 @@ the rows zipped with the header, as `--format json` writes them."""
 
 import csv
 import io
+import tracemalloc
 
 import pytest
 
 from equivol import tables
-from equivol.cli import main
+from equivol.cli import load_scenario, main
 from equivol.corpus import scenario_path
+from equivol.counting import isotypic_table, section_dimension
 
 
 def dictwriter_csv(rows, fieldnames):
@@ -37,6 +39,7 @@ def test_to_csv_matches_dictwriter(name, monkeypatch, capsys):
     to_csv = tables.to_csv
 
     def recording(rows, fieldnames):
+        rows = list(rows)  # table rows are a one-pass iterator
         emitted.append((rows, fieldnames))
         return to_csv(rows, fieldnames)
 
@@ -67,10 +70,36 @@ def test_to_csv_single_field():
 
 
 def test_multiplicity_rows_share_rendered_weights():
-    rows = tables.multiplicity_rows(None, [((0, (0, 1)), 1), ((1, (-1, 0)), 3), ((1, (0, 1)), 2)])
+    rows = list(tables.multiplicity_rows(None, [(0, [(0, 1)], [1]), (1, [(-1, 0), (0, 1)], [3, 2])]))
     assert rows == [
         (0, "(0,1)", 1),
         (1, "(-1,0)", 3),
         (1, "(0,1)", 2),
     ]
     assert rows[0][1] is rows[2][1]
+
+
+def test_table_rows_stream_from_the_levels_lists(capsys):
+    s = load_scenario(str(scenario_path("p1p1_diag")))
+    table = isotypic_table(s, 60)
+    levels = table.sorted_items()
+    assert [lv[0] for lv in levels] == list(range(61))
+    # the levels are the table's own lists, not copies
+    for k, mus, ns in levels:
+        assert mus is table.levels[k][1] and ns is table.levels[k][2]
+    rows = tables.multiplicity_rows(s, levels)
+    assert iter(rows) is rows
+    # the rows are read once, with no list of rows or items behind them:
+    # emitting 77,531 rows peaks at about 5.8 bytes a CSV byte (the CSV
+    # buffer and its copy), where lists of items and rows took 13
+    tracemalloc.start()
+    try:
+        text = tables.to_csv(rows, ["k", "mu", "dim"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + sum(len(mus) for _, mus, _ in levels) == 77_532
+    assert peak < 9 * len(text)
+    # a single weight is one level of one row
+    assert main(["multiplicity", "--scenario", str(scenario_path("p1p1_diag")), "--k", "4", "--mu", "0,0"]) == 0
+    assert capsys.readouterr().out == f'k,mu,dim\n4,"(0,0)",{section_dimension(s, 4, (0, 0))}\n'
