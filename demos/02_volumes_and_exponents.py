@@ -29,7 +29,7 @@ print("  mu=1 semigroup:", sorted(mu_semigroup(p1, 1, 12)))
 # Volumes per residue class: odd powers carry the odd weights.
 for f in (0, 1):
     rv = residue_volume(p1, 1, f)
-    print(f"  residue f={f}: value {rv.estimate.value} [{rv.estimate.status}]")
+    print(f"  residue f={f}: value {rv.value} [{rv.status}]")
 print("  vol_mu(O(1)) for mu in -3..3:",
       [equivariant_volume(p1, mu).value for mu in range(-3, 4)])
 

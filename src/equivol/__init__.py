@@ -20,7 +20,6 @@ from .model import (
     tensor_power,
     tensor_product,
     validate_scenario,
-    weight_of_monomial,
     with_bundle,
 )
 from .counting import (
@@ -48,12 +47,10 @@ from .geometry import (
 )
 from .volumes import (
     ExponentResult,
-    ResidueVolume,
     VolumeEstimate,
     equivariant_volume,
     g_exponent,
     g_semigroup,
-    homogeneity_transform,
     mu_semigroup,
     residue_volume,
 )

@@ -158,15 +158,12 @@ def cmd_classify(args) -> int:
         f"zero_position: {rep.zero_position}",
         f"moment_image: {_render_image(rep.moment_image)}",
     ]
-    try:
-        stab = geometry.generic_stabilizer(s)
-        if stab.finite:
-            lines.append(f"generic_stabilizer_order: {stab.order}")
-            lines.append(f"invariant_factors: {','.join(map(str, stab.invariant_factors))}")
-        else:
-            lines.append("generic_stabilizer_order: infinite")
-    except UnsupportedScenario:
-        pass
+    stab = geometry.generic_stabilizer(s)
+    if stab.finite:
+        lines.append(f"generic_stabilizer_order: {stab.order}")
+        lines.append(f"invariant_factors: {','.join(map(str, stab.invariant_factors))}")
+    else:
+        lines.append("generic_stabilizer_order: infinite")
     if rep.stability == "unstable_everywhere":
         lines.append("vanishing_bounds:")
         for mu in mus:

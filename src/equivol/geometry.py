@@ -278,20 +278,23 @@ class StabilizerData:
     binary cubics, is not seen.
     """
 
-    finite: bool
     order: int | None
     invariant_factors: tuple[int, ...] = ()
+
+    @property
+    def finite(self) -> bool:
+        return self.order is not None
 
 
 def generic_stabilizer(s: Scenario) -> StabilizerData:
     _require_supported(s, "stabilizers")
     lattice = s.space.column_lattice.stabilizer
     if lattice is None:
-        return StabilizerData(finite=False, order=None)
+        return StabilizerData(order=None)
     order = prod(col[i] for i, col in enumerate(lattice))
     # Smith invariants at rank <= 2: the gcd of all entries, then the rest
     content = gcd(*itertools.chain.from_iterable(lattice))
-    return StabilizerData(True, order, (content, order // content)[: len(lattice)])
+    return StabilizerData(order, (content, order // content)[: len(lattice)])
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ Conventions
   character twist (circle powers only; SU(2) has no nontrivial characters).
 * Sections transform covariantly with coordinates: the monomial
   ``z^alpha`` in ``H^0(M, L^{tensor k})`` has weight
-  ``sum_i alpha_i w_i + k*c``.  The sign is pinned by a regression test on
-  the rank-one action with weights (-1, 1, 1) on P^2, where the
-  weight-mu monomials are exactly ``z0^(k-a-b) z1^a z2^b, a+b=(k+mu)/2``.
-  The opposite convention corresponds to mu -> -mu.
+  ``sum_i alpha_i w_i + k*c``.  The sign is pinned by counts in
+  ``tests/test_model.py`` (``test_p2_counts_pin_the_sign_convention``): on
+  the rank-one action with weights (-1, 1, 1) on P^2, the weight-mu
+  monomials are exactly ``z0^(k-a-b) z1^a z2^b, a+b=(k+mu)/2``, so there
+  are (k+mu)/2 + 1 of them.  The opposite convention corresponds to
+  mu -> -mu.
 """
 
 from __future__ import annotations
@@ -334,44 +336,6 @@ def with_bundle(s: Scenario, bundle: LinearizedBundle) -> Scenario:
     scenario holds the very space of `s`, so whatever either of them builds
     from the space the other reads."""
     return Scenario(s.space, _checked_bundle(s.space, list(bundle.degrees), list(bundle.twist)))
-
-
-def weight_of_monomial(s: Scenario, exponents, k: int | None = None):
-    """Weight of the section monomial z^alpha of L^(tensor k).
-
-    ``exponents`` lists one nonnegative integer per coordinate, factors
-    concatenated in order.  The block degree of factor j must equal
-    k*d_j; k is inferred from the first factor when not given.  Returns an
-    int for rank-1 weights (g=1, su2), else a tuple.
-    """
-    alpha = tuple(int(a) for a in exponents)
-    if any(a < 0 for a in alpha):
-        raise ScenarioError("exponents must be >= 0")
-    ncoords = sum(f.dim + 1 for f in s.factors)
-    if len(alpha) != ncoords:
-        raise ScenarioError(f"got {len(alpha)} exponents for {ncoords} coordinates")
-
-    d0 = s.bundle.degrees[0]
-    deg0 = sum(alpha[: s.factors[0].dim + 1])
-    if k is None:
-        if deg0 % d0:
-            raise ScenarioError(f"factor 0 degree {deg0} is not a multiple of d_0={d0}")
-        k = deg0 // d0
-
-    r = s.group.torus_rank
-    total = [k * c for c in s.twist_vec]
-    pos = 0
-    for j, (f, ws) in enumerate(zip(s.factors, s.space.torus_weights)):
-        block = alpha[pos : pos + f.dim + 1]
-        if sum(block) != k * s.bundle.degrees[j]:
-            raise ScenarioError(
-                f"factor {j} degree {sum(block)} != k*d_j = {k * s.bundle.degrees[j]}"
-            )
-        for a, w in zip(block, ws):
-            for i in range(r):
-                total[i] += a * w[i]
-        pos += f.dim + 1
-    return s.weight_key(tuple(total))
 
 
 def scenario_to_dict(s: Scenario) -> dict:

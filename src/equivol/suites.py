@@ -142,7 +142,8 @@ def _homogeneity(s):
     """vol_mu(L^p) = p^(n-g) vol_mu(L) for gcd(p, e)=1, and the
     unconditional trivial-representation law for q in [1, 6].  The exponent
     n - g is clamped at 0, as every volume is normalized
-    (``Scenario.growth_degree``).
+    (``Scenario.growth_degree``); e = e_G(L) is the one vol_0's fit reads,
+    which a regular scenario always has.
 
     At q = 1 both sides read one stored fit, since ``scenario_power(s, 1)``
     has the space and the bundle of `s`: that check compares one
@@ -155,8 +156,7 @@ def _homogeneity(s):
             want = Fraction(q) ** D * vol0.value
             ok = lhs.finite and lhs.value == want
             yield f"vol_0(L^{q}) = {q}^(n-g) vol_0(L)", _estimate(lhs), render_rational(want), ok, {"q": q}
-    regular, e = _regular(s), g_exponent(s).exponent
-    powers = [p for p in (3, 5) if regular and e is not None and gcd(p, e) == 1]
+    powers = [p for p in (3, 5) if gcd(p, vol0.fit.exponent) == 1] if _regular(s) else []
     for p in powers:
         sp = scenario_power(s, p)
         for mu in s.default_mus(2):

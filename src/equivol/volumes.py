@@ -19,7 +19,9 @@ finds k0 from dot products with the walls' normals.
 
 A weight whose counts the moment image shows to vanish for large k
 (``geometry.vanishing_certificate`` is not None) has volume 0 with no
-fit.  A fit reads one weight: its class polynomials depend on the space, the
+fit.  ``equivariant_volume`` and ``residue_volume`` share that shortcut,
+after the dominance check, and otherwise read the same class estimates.
+A fit reads one weight: its class polynomials depend on the space, the
 bundle and mu alone, so each is made once and kept on the space
 (``Space.fit_store``, by bundle and weight), where every scenario on that
 space reads it.  A stored fit is served also after CELL_BUDGET falls,
@@ -27,15 +29,18 @@ and a fit that raises stores nothing.
 
 The volume vol_mu(L) = limsup (n-g)!/k^(n-g) dim H^0(M, L^k)_mu is the
 largest (n-g)! * (coefficient of k^(n-g)) over the classes; growth of
-higher degree is an infinite volume, never an error.  Results name their
-class modulo e_G(L), the gcd of P and the classes whose invariant count
-is eventually nonzero: those whose polynomial in the fit at the zero
-weight is not 0.  No floating point is used anywhere.
+higher degree is an infinite volume, never an error.  A fitted result
+carries its class f modulo e_G(L) and e_G(L) itself, the gcd of P and the
+classes whose invariant count is eventually nonzero: those whose
+polynomial in the fit at the zero weight is not 0.  This is the exponent
+the homogeneity law reads; ``g_exponent`` samples the invariant semigroup
+instead, as an independent derivation.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -70,12 +75,14 @@ class ExponentResult:
 @dataclass(frozen=True)
 class FitData:
     """The residue class f mod e_G(L) a volume was read from, the least
-    period (a multiple of e dividing P) of its class polynomials, and
-    their largest degree."""
+    period (a multiple of e dividing P) of its class polynomials, their
+    largest degree, and the exponent e = e_G(L) itself, read off the fit at
+    the zero weight."""
 
     residue: int
     period: int
     degree: int
+    exponent: int
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,6 @@ class VolumeEstimate:
     @property
     def positive(self) -> bool:
         return self.status == EXACT and self.value > 0
-
-
-@dataclass(frozen=True)
-class ResidueVolume:
-    residue: int
-    estimate: VolumeEstimate
 
 
 def _estimate(s: Scenario, value, status: str, fit=None) -> VolumeEstimate:
@@ -215,7 +216,12 @@ def _class_polys(s: Scenario, mu) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
-    """vol_mu restricted to each residue class f mod e_G(L), f in [0, e)."""
+    """vol_mu restricted to each residue class f mod e_G(L), f in [0, e),
+    for a dominant `mu`; a single zero estimate with no fit where the
+    counts at mu vanish for large k."""
+    s.check_dominant(mu)
+    if geometry.vanishing_certificate(s, mu) is not None:
+        return [_estimate(s, Fraction(0), ZERO)]
     cap, polys = _class_polys(s, mu)  # cap! P^cap times each class's polynomial
     period = len(polys)
     # e: the gcd of P and the classes on which the invariant count is
@@ -229,7 +235,7 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
         # the least shift t | n under which the class polynomials repeat
         t = next(t for t in range(1, n + 1) if n % t == 0 and cls == cls[t:] + cls[:t])
         degree = max(len(p) for p in cls) - 1
-        fit = FitData(f, t * e, max(degree, 0))
+        fit = FitData(f, t * e, max(degree, 0), e)
         if degree > D:
             out.append(_estimate(s, None, INFINITE, fit))
             continue
@@ -239,39 +245,16 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
     return out
 
 
-def residue_volume(s: Scenario, mu, f: int) -> ResidueVolume:
-    """limsup of (n-g)! h^0_mu(L^k)/k^(n-g) along k = f (mod e_G(L))."""
-    s.check_dominant(mu)
-    if geometry.vanishing_certificate(s, mu) is not None:
-        return ResidueVolume(f, _estimate(s, Fraction(0), ZERO))
+def residue_volume(s: Scenario, mu, f: int) -> VolumeEstimate:
+    """limsup of (n-g)! h^0_mu(L^k)/k^(n-g) along k = f (mod e_G(L)); the
+    estimate's fit names the class, f mod e."""
     estimates = _residue_estimates(s, mu)
-    f %= len(estimates)
-    return ResidueVolume(f, estimates[f])
+    return estimates[f % len(estimates)]
 
 
 def equivariant_volume(s: Scenario, mu) -> VolumeEstimate:
     """vol_mu(L): the maximum of the residue-class volumes, attained first
     at the reported residue, or the first infinite one."""
-    s.check_dominant(mu)
-    if geometry.vanishing_certificate(s, mu) is not None:
-        return _estimate(s, Fraction(0), ZERO)
     estimates = _residue_estimates(s, mu)
     infinite = [est for est in estimates if est.status == INFINITE]
     return infinite[0] if infinite else max(estimates, key=lambda est: est.value)
-
-
-def homogeneity_transform(
-    est: VolumeEstimate, from_power: int, to_power: int, exponent: int, degree: int
-) -> VolumeEstimate:
-    """Transport a volume computed at L^a to L^q via the scaling law
-    vol_mu(L^q) = (q/gcd(q,e))^(n-g) vol_mu(L^(gcd(q,e))).
-
-    Requires from_power == gcd(to_power, exponent).
-    """
-    a, q = from_power, to_power
-    if a != gcd(q, exponent):
-        raise ScenarioError(f"homogeneity transform needs a = gcd(q, e): {a} != gcd({q},{exponent})")
-    if not est.finite:
-        return est
-    scale = Fraction(q, a) ** degree
-    return replace(est, value=est.value * scale)

@@ -29,6 +29,9 @@ P1 = str(scenario_path("p1_hyperplane"))
 SU2 = str(scenario_path("su2_p3"))
 UNSTABLE = str(scenario_path("p1_unstable"))
 SU2_UNSTABLE = str(scenario_path("su2_p1"))  # classify lists r_mu only when unstable
+# P(Sym^1) x P(Sym^2): a valid document outside the su2 geometry's scope
+SU2_PRODUCT = {"group": "su2", "g": 3, "factors": [{"dim": 1, "sym_powers": [1]}, {"dim": 2, "sym_powers": [2]}],
+               "bundle": {"degrees": [1, 1]}}
 
 
 def test_multiplicity_single(capsys):
@@ -196,12 +199,14 @@ def test_mu_required(capsys):
         (["classify", "--scenario", SU2, "--mu-range=abc"], "cannot parse range 'abc'"),
         (["classify", "--scenario", SU2, "--mu-range=3..1"], "empty range '3..1'"),
         (["multiplicity", "--scenario", P2, "--k", "1", "--mu", "1", "--all-mu"], "takes --mu or --all-mu, not both"),
+        (["classify", "--scenario", "SU2_PRODUCT"], "su2 geometry supports single-factor scenarios"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
-    not_json = tmp_path / "not.json"
-    not_json.write_text('{"group": "circle_power", "g": 1,')
-    argv = [str(not_json) if a == "NOT_JSON" else a for a in argv]
+    docs = {"NOT_JSON": tmp_path / "not.json", "SU2_PRODUCT": tmp_path / "su2_product.json"}
+    docs["NOT_JSON"].write_text('{"group": "circle_power", "g": 1,')
+    docs["SU2_PRODUCT"].write_text(json.dumps(SU2_PRODUCT))
+    argv = [str(docs[a]) if a in docs else a for a in argv]
     assert_one_error_line(*run(capsys, *argv), cause)
 
 

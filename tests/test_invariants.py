@@ -70,7 +70,7 @@ def test_residue_bounded_by_volume(p2_circle):
     e = g_exponent(p2_circle, 20).exponent
     vol = equivariant_volume(p2_circle, 1).value
     for f in range(e):
-        rv = residue_volume(p2_circle, 1, f).estimate
+        rv = residue_volume(p2_circle, 1, f)
         assert rv.value <= vol
 
 

@@ -1,4 +1,4 @@
-"""Core model: validation, bundle algebra, monomial weights."""
+"""Core model: validation, bundle algebra, the weight sign convention."""
 
 import re
 
@@ -8,6 +8,7 @@ from equivol import (
     LinearizedBundle,
     ScenarioError,
     circle_scenario,
+    full_weight_distribution,
     scenario_from_dict,
     scenario_power,
     scenario_to_dict,
@@ -16,7 +17,6 @@ from equivol import (
     tensor_power,
     tensor_product,
     validate_scenario,
-    weight_of_monomial,
     with_bundle,
 )
 
@@ -124,39 +124,22 @@ def test_rational_arithmetic_roundtrip():
         assert gcd(x.numerator, x.denominator) == 1
 
 
-def test_monomial_weight_reproduces_p2_basis(p2_circle):
-    # z0^(k-a-b) z1^a z2^b has weight 2(a+b) - k; a+b = (k+mu)/2 gives mu
-    k = 4
-    for a in range(0, k + 1):
-        for b in range(0, k + 1 - a):
-            mu = weight_of_monomial(p2_circle, (k - a - b, a, b))
-            assert mu == 2 * (a + b) - k
-    assert weight_of_monomial(p2_circle, (2, 1, 1)) == 0
+def test_p2_counts_pin_the_sign_convention(p2_circle):
+    # z0^(k-a-b) z1^a z2^b has weight 2(a+b) - k, so weight mu takes
+    # a+b = (k+mu)/2: (k+mu)/2 + 1 monomials.  The opposite convention
+    # would count (k-mu)/2 + 1
+    for k in range(7):
+        for mu in range(-k - 2, k + 3):
+            want = (k + mu) // 2 + 1 if (k + mu) % 2 == 0 and abs(mu) <= k else 0
+            assert section_dimension(p2_circle, k, mu) == want, (k, mu)
 
 
-def test_monomial_weight_single_coordinate(p1_hyperplane):
-    for k in (1, 3, 7):
-        alpha = (k, 0)
-        assert weight_of_monomial(p1_hyperplane, alpha) == k
-
-
-def test_monomial_weight_twist_shift():
+def test_twist_shifts_every_weight_of_a_level():
+    # weights (1, -1) give z0^a z1^(k-a) the weight 2a - k; the twist c = 1
+    # adds k*c, so level k has the weights 0, 2, ..., 2k, each once
     s = circle_scenario([[1, -1]], [1], twist=1)
-    # z0 z1 at k = 2: weight 0 + 2*1
-    assert weight_of_monomial(s, (1, 1)) == 2
-
-
-def test_monomial_weight_additive(p2_circle):
-    # weight of a product across tensor powers is the sum of weights
-    w1 = weight_of_monomial(p2_circle, (1, 1, 0))  # k = 2
-    w2 = weight_of_monomial(p2_circle, (0, 1, 2))  # k = 3
-    w12 = weight_of_monomial(p2_circle, (1, 2, 2))  # k = 5
-    assert w12 == w1 + w2
-
-
-def test_monomial_degree_mismatch(p2_circle):
-    with pytest.raises(ScenarioError):
-        weight_of_monomial(p2_circle, (1, 1, 0), k=3)
+    for k in range(7):
+        assert full_weight_distribution(s, k) == {mu: 1 for mu in range(0, 2 * k + 1, 2)}, k
 
 
 def test_zero_weight(p1_hyperplane, p1p1_diag, su2_p3):

@@ -50,7 +50,6 @@ from equivol import (
     total_dimension,
     validate_scenario,
     vanishing_certificate,
-    volumes,
     with_bundle,
 )
 from equivol.counting import conservation_sides
@@ -677,4 +676,4 @@ def test_fit_classes_at_the_zero_weight_give_the_exponent(s):
     assume(supported(s) and vanishing_certificate(s, s.zero_weight) is None)
     e = g_exponent(s).exponent
     assume(e is not None)
-    assert len(volumes._residue_estimates(s, s.zero_weight)) == e
+    assert equivariant_volume(s, s.zero_weight).fit.exponent == e

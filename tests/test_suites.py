@@ -139,6 +139,15 @@ def test_homogeneity_p2_values(p2_circle):
     assert equivariant_volume(scenario_power(p2_circle, 5), 1).value == Fraction(5, 2)
 
 
+def test_homogeneity_reads_the_exponent_off_the_fit(monkeypatch, reports):
+    # the law takes e_G(L) from vol_0's fit, never from the sampled semigroup
+    def unsampled(*args, **kwargs):
+        raise AssertionError("homogeneity sampled the invariant semigroup")
+
+    monkeypatch.setattr(suites, "g_exponent", unsampled)
+    assert run_suite("homogeneity", equivol.default_corpus()).to_dict() == reports["homogeneity"].to_dict()
+
+
 def test_oracle_records_broken_conservation(monkeypatch, p1_hyperplane):
     # engine and oracle agree on a distribution that has lost a monomial
     def lossy(s, k):

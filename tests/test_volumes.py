@@ -13,7 +13,6 @@ from equivol import (
     equivariant_volume,
     g_exponent,
     g_semigroup,
-    homogeneity_transform,
     mu_semigroup,
     residue_volume,
     scenario_from_dict,
@@ -78,26 +77,26 @@ def test_mu_semigroup(p1_hyperplane, p1_square):
 
 def test_residue_volume_p2(p2_circle):
     rv = residue_volume(p2_circle, 0, 0)
-    assert rv.estimate.status == "exact"
-    assert rv.estimate.value == Fraction(1, 2)
+    assert rv.status == "exact"
+    assert rv.value == Fraction(1, 2)
 
 
 def test_residue_volume_odd_class_zero(p1_hyperplane):
     rv = residue_volume(p1_hyperplane, 0, 1)
-    assert rv.estimate.status == "zero"
-    assert rv.estimate.value == 0
+    assert rv.status == "zero"
+    assert rv.value == 0
 
 
 def test_residue_volume_unstable(p1_unstable):
     for f in (0, 1):
         for mu in (-2, 0, 3):
             rv = residue_volume(p1_unstable, mu, f)
-            assert rv.estimate.status == "zero"
+            assert rv.status == "zero"
 
 
 def test_residue_reduced_mod_exponent(p1_hyperplane):
-    a = residue_volume(p1_hyperplane, 0, 0).estimate
-    b = residue_volume(p1_hyperplane, 0, 2).estimate
+    a = residue_volume(p1_hyperplane, 0, 0)
+    b = residue_volume(p1_hyperplane, 0, 2)
     assert (a.value, a.status) == (b.value, b.status)
 
 
@@ -346,18 +345,18 @@ def test_fit_store_follows_the_budget_rules(monkeypatch):
 
 
 def test_fit_classes_at_the_zero_weight_give_the_exponent(corpus):
-    # two routes to e_G(L): the residue classes the fit reports at the zero
-    # weight, and the gcd of the invariant semigroup read up to M_MAX.  A fit
-    # at any other weight reports its classes mod the same e_G(L)
+    # two routes to e_G(L): the exponent the fit at the zero weight reads
+    # off its classes, and the gcd of the invariant semigroup read up to
+    # M_MAX.  A fit at any other weight reports the same e_G(L)
     checked = []
     for name, s in corpus:
         if vanishing_certificate(s, s.zero_weight) is not None:
             continue
         e = g_exponent(s).exponent
-        assert e is not None and len(volumes._residue_estimates(s, s.zero_weight)) == e, name
+        assert e is not None and equivariant_volume(s, s.zero_weight).fit.exponent == e, name
         for mu in s.default_mus(2):
             if vanishing_certificate(s, mu) is None:
-                assert len(volumes._residue_estimates(s, mu)) == e, (name, mu)
+                assert equivariant_volume(s, mu).fit.exponent == e, (name, mu)
         checked.append(name)
     assert len(checked) == 12
 
@@ -403,20 +402,6 @@ def test_sym5_degree_2_stops_before_any_level_is_built(tmp_path, capsys, monkeyp
 # --- transformation laws ------------------------------------------------------
 
 
-def test_homogeneity_transform_examples(p2_circle):
-    base = equivariant_volume(p2_circle, 1)
-    moved = homogeneity_transform(base, 1, 3, 1, p2_circle.quotient_degree)
-    assert moved.value == Fraction(3, 2)
-    same = homogeneity_transform(base, 1, 1, 1, p2_circle.quotient_degree)
-    assert same.value == base.value
-
-
-def test_homogeneity_transform_precondition(p2_circle):
-    base = equivariant_volume(p2_circle, 0)
-    with pytest.raises(Exception):
-        homogeneity_transform(base, 2, 3, 2, 1)
-
-
 def test_prime_power_homogeneity(p2_circle):
     # gcd(p, e) = 1: vol(L^p) = p^(n-g) vol(L), counted directly
     for p in (3, 5):
@@ -434,7 +419,15 @@ def test_trivial_rep_homogeneity(su2_p5):
         assert equivariant_volume(sq, 0).value == Fraction(q) ** 2 * base, q
 
 
-def test_volume_invariant_under_residue_max(p2_circle):
-    e = g_exponent(p2_circle, 30).exponent
-    best = max(residue_volume(p2_circle, 2, f).estimate.value for f in range(e))
-    assert best == equivariant_volume(p2_circle, 2).value
+def test_volume_invariant_under_residue_max(corpus):
+    # each class estimate names its class f mod e in its fit, and a finite
+    # volume is the largest class volume
+    for name, s in corpus:
+        for mu in s.default_mus(2):
+            vol = equivariant_volume(s, mu)
+            e = vol.fit.exponent if vol.fit else 1
+            classes = [residue_volume(s, mu, f) for f in range(2 * e)]
+            for f, est in enumerate(classes):
+                assert est.fit is None or (est.fit.residue, est.fit.exponent) == (f % e, e), (name, mu, f)
+            if vol.finite:
+                assert max(est.value for est in classes) == vol.value, (name, mu)
