@@ -1,10 +1,13 @@
 """Byte-level CLI gate: the sha256 of every run's exit code, stdout and
 stderr must equal the committed digest in ``cli_digests.json``.
 
-The runs are in-process ``cli.main`` calls on every corpus document, plus
-``verify --format json``.  Runs whose output would embed a file path are
-left out, so the digests do not depend on where the package lives.  A
-change that means to alter CLI bytes rewrites the file with
+The runs are in-process ``cli.main`` calls on every corpus document; on
+each degenerate rank-2 document under ``tests/docs/`` (a point, two
+segments off the origin and one through it), ``classify`` and ``volume``,
+labelled by the file's stem; plus ``verify --format json``.  Runs whose
+output would embed a file path are left out, so the digests do not depend
+on where the package lives.  A change that means to alter CLI bytes
+rewrites the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -21,6 +24,7 @@ from equivol.cli import main
 from equivol.corpus import CORPUS_NAMES, scenario_path
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
+DEGENERATE = sorted(Path(__file__).with_name("docs").glob("*.json"))
 
 PER_DOCUMENT = (
     "table --k-max 6",
@@ -32,14 +36,20 @@ PER_DOCUMENT = (
     "predict",
 )
 
+PER_DEGENERATE = (
+    "classify --mu-range=-4..4",
+    "volume --mu-range=-2..2",
+)
+
 
 def runs():
     """(label, argv) for every gated run, in a fixed order."""
-    for name in CORPUS_NAMES:
-        path = str(scenario_path(name))
-        for flags in PER_DOCUMENT:
+    gated = [(name, scenario_path(name), PER_DOCUMENT) for name in CORPUS_NAMES]
+    gated += [(path.stem, path, PER_DEGENERATE) for path in DEGENERATE]
+    for label, path, per_document in gated:
+        for flags in per_document:
             command, *rest = flags.split()
-            yield f"{name}: {flags}", [command, "--scenario", path, *rest]
+            yield f"{label}: {flags}", [command, "--scenario", str(path), *rest]
     yield "verify --format json", ["verify", "--format", "json"]
 
 
