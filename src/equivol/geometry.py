@@ -16,21 +16,25 @@ image's scale range.  Each image keeps its facets as integer half-planes,
 so asking whether mu lies in k times it, or for which k it does, takes
 integer dot products and floor division, never a Fraction.
 
-Stability of a bundle is read off the position of the origin:
+Stability of a bundle is read off the position of the origin, in one
+order for both group kinds:
 
 * outside the image              -> every point is unstable;
+* every factor's torus weights coincide -> the action is trivial;
 * a critical value               -> semistable != stable (a wall);
 * a regular value                -> regular (stable = semistable != empty).
 
-A critical value is the image of a stratum whose coordinate weights span
-less than the torus, and by Caratheodory such an image lies in the cone
-of a wall of the column lattice (``Space.column_lattice``): the origin
-is critical exactly when the stabilizer is infinite or the ray
+For SU(2) the image is the dominant one, which misses the origin only for
+P(Sym^1); whether the origin is critical then follows the classical
+stability theory of binary forms (regular when every block Sym^m has m
+odd), restricted to the supported single-factor scenarios.  For circle
+powers a critical value is the image of a stratum whose coordinate
+weights span less than the torus, and by Caratheodory such an image lies
+in the cone of a wall of the column lattice (``Space.column_lattice``):
+the origin is critical exactly when the stabilizer is infinite or the ray
 b1 = (degrees, -twist) lies in the closed cone of rank A - 1 independent
 columns (e_j, w).  Images of fixed points, edges of the image and
-critical segments inside it all lie in such cones.  SU(2) factors are
-classified through the classical stability theory of binary forms,
-restricted to the supported single-factor scenarios.
+critical segments inside it all lie in such cones.
 
 The generic stabilizer is read off the same column lattice for both group
 kinds (an SU(2) block Sym^m has the torus weights m - 2a): its character
@@ -99,19 +103,22 @@ def _hull(points):
 class MomentImage:
     """Moment map image of the bundle itself (tensor power k scales by k).
 
-    Vertices are integer tuples.  Rank 1 (circle g=1, and the su2 dominant
-    picture) stores the two ends of an interval; rank 2 stores a hull
-    vertex list in counterclockwise order (1 or 2 vertices when
-    degenerate).
+    Vertices are integer tuples of the image's rank.  Rank 1 (circle g=1,
+    and the su2 dominant picture) stores the two ends of an interval;
+    rank 2 stores a hull vertex list in counterclockwise order (1 or 2
+    vertices when degenerate).
 
-    Queries run on integer half-planes computed once per image: a pair
-    (beta, a) means beta*r <= <a, mu>, so mu lies in r * image exactly when
-    every inequality holds and every equality beta*r == <a, mu> does.
+    Queries run on one list of integer half-planes computed once per
+    image: a pair (beta, a) means beta*r <= <a, mu>, and mu lies in
+    r * image exactly when every pair holds.
     """
 
-    rank: int
     vertices: tuple
     dominant: bool = False
+
+    @property
+    def rank(self) -> int:
+        return len(self.vertices[0])
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -121,40 +128,35 @@ class MomentImage:
         return (lo, hi)
 
     @cached_property
-    def _half_planes(self) -> tuple[tuple, tuple]:
-        """(inequalities, equalities), each a tuple of integer pairs
-        (beta, a) read as beta*r <= <a, mu> or beta*r == <a, mu>.
+    def _half_planes(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Integer pairs (beta, a), each read as beta*r <= <a, mu>.
 
-        An interval [lo, hi] gives lo*r <= mu and -hi*r <= -mu; a polygon
-        one inequality per counterclockwise edge e from v,
-        cross(e, v)*r <= cross(e, mu); a segment pq the line through it as
-        an equality and its two ends; a point one equality per coordinate.
+        A polygon gives one pair per counterclockwise edge e from v,
+        cross(e, v)*r <= cross(e, mu), and an interval [lo, hi] the pairs
+        lo*r <= mu and -hi*r <= -mu.  A segment pq gives its two ends and
+        its line as two opposite pairs; a point two opposite pairs per
+        coordinate.
         """
+        vs = self.vertices
         if self.rank == 1:
             lo, hi = self.interval
-            return ((lo, (1,)), (-hi, (-1,))), ()
-        vs = self.vertices
+            return ((lo, (1,)), (-hi, (-1,)))
         if len(vs) == 1:
             ((x, y),) = vs
-            return (), ((x, (1, 0)), (y, (0, 1)))
+            return ((x, (1, 0)), (-x, (-1, 0)), (y, (0, 1)), (-y, (0, -1)))
         edges = [(v, (w[0] - v[0], w[1] - v[1])) for v, w in zip(vs, vs[1:] + vs[:1])]
+        planes = [(_cross(e, v), (-e[1], e[0])) for v, e in edges]
         if len(vs) == 2:
             (p, e), (q, _) = edges
-            return ((_dot(p, e), e), (-_dot(q, e), (-e[0], -e[1]))), ((_cross(e, p), (-e[1], e[0])),)
-        return tuple((_cross(e, v), (-e[1], e[0])) for v, e in edges), ()
+            planes += [(_dot(p, e), e), (-_dot(q, e), (-e[0], -e[1]))]
+        return tuple(planes)
 
     def contains_zero(self) -> bool:
-        ineqs, eqs = self._half_planes
-        return all(beta <= 0 for beta, _ in ineqs) and all(beta == 0 for beta, _ in eqs)
+        return self.scaled_contains((0,) * self.rank, 1)
 
     def scaled_contains(self, mu_vec: tuple[int, ...], k: int) -> bool:
         """Exact test mu in k * image."""
-        ineqs, eqs = self._half_planes
-        return (
-            k >= 0
-            and all(beta * k <= sum(map(mul, a, mu_vec)) for beta, a in ineqs)
-            and all(beta * k == sum(map(mul, a, mu_vec)) for beta, a in eqs)
-        )
+        return k >= 0 and all(beta * k <= sum(map(mul, a, mu_vec)) for beta, a in self._half_planes)
 
     def scale_range(self, mu_vec: tuple[int, ...]) -> tuple[int | None, int | None]:
         """Integer interval of scales r >= 1 with mu in r*image.
@@ -162,9 +164,8 @@ class MomentImage:
         Returns (r_min, r_max); r_max is None when unbounded, (None, None)
         when no scale admits mu.
         """
-        ineqs, eqs = self._half_planes
         r_min, r_max = 1, None
-        for beta, a in ineqs:
+        for beta, a in self._half_planes:
             alpha = sum(map(mul, a, mu_vec))
             if beta > 0:
                 r_max = alpha // beta if r_max is None else min(r_max, alpha // beta)
@@ -172,17 +173,6 @@ class MomentImage:
                 r_min = max(r_min, -(alpha // -beta))
             elif alpha < 0:
                 return (None, None)
-        for beta, a in eqs:
-            alpha = sum(map(mul, a, mu_vec))
-            if beta == 0:
-                if alpha:
-                    return (None, None)
-                continue
-            r, rem = divmod(alpha, beta)
-            if rem:
-                return (None, None)
-            r_min = max(r_min, r)
-            r_max = r if r_max is None else min(r_max, r)
         if r_max is not None and r_max < r_min:
             return (None, None)
         return (r_min, r_max)
@@ -213,18 +203,24 @@ def moment_image(s: Scenario) -> MomentImage:
         sym = s.factors[0].sym_powers
         d = s.bundle.degrees[0]
         lo = d if sym == (1,) else 0
-        return MomentImage(rank=1, vertices=((lo,), (d * max(sym),)), dominant=True)
+        return MomentImage(((lo,), (d * max(sym),)), dominant=True)
     image = (s.bundle.twist,)
     for ws, d in zip(s.space.torus_weights, s.bundle.degrees):
         image = _hull([tuple(x + d * y for x, y in zip(p, w)) for p in image for w in _hull(ws)])
-    return MomentImage(rank=s.group.dim, vertices=image)
+    return MomentImage(image)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The stability class of a bundle and its moment image; where the
+    origin sits in the image follows from the class."""
+
     stability: str  # regular | boundary | unstable_everywhere | trivial_action
     moment_image: MomentImage
-    zero_position: str  # inside | on_vertex_or_wall | outside
+
+    @property
+    def zero_position(self) -> str:
+        return {REGULAR: INSIDE, UNSTABLE: OUTSIDE}.get(self.stability, ON_WALL)
 
 
 def classify_stability(s: Scenario) -> StabilityReport:
@@ -239,24 +235,16 @@ def classify_stability(s: Scenario) -> StabilityReport:
 
 def _stability_report(s: Scenario) -> StabilityReport:
     img = moment_image(s)
-    if s.group.is_su2:
-        sym = s.factors[0].sym_powers
-        if all(m == 0 for m in sym):
-            return StabilityReport(TRIVIAL, img, ON_WALL)
-        if sym == (1,):
-            return StabilityReport(UNSTABLE, img, OUTSIDE)
-        if all(m % 2 == 1 for m in sym):
-            return StabilityReport(REGULAR, img, INSIDE)
-        return StabilityReport(BOUNDARY, img, ON_WALL)
-
     if not img.contains_zero():
-        return StabilityReport(UNSTABLE, img, OUTSIDE)
-    if all(len(set(f.weights)) == 1 for f in s.factors):
-        return StabilityReport(TRIVIAL, img, ON_WALL)
-    lat = s.space.column_lattice
-    if lat.stabilizer is None or lat.on_wall(lat.cut(s.ray)):
-        return StabilityReport(BOUNDARY, img, ON_WALL)
-    return StabilityReport(REGULAR, img, INSIDE)
+        return StabilityReport(UNSTABLE, img)
+    if all(len(set(ws)) == 1 for ws in s.space.torus_weights):
+        return StabilityReport(TRIVIAL, img)
+    if s.group.is_su2:
+        regular = all(m % 2 == 1 for m in s.factors[0].sym_powers)
+    else:
+        lat = s.space.column_lattice
+        regular = lat.stabilizer is not None and not lat.on_wall(lat.cut(s.ray))
+    return StabilityReport(REGULAR if regular else BOUNDARY, img)
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,12 @@ def test_image_is_weight_hull_at_small_k(corpus):
         # rank 1, an end at 0: that half-plane has beta = 0
         ([[0, 3]], -1, (None, None), (True,)),
         ([[0, 3]], 2, (1, None), (True,)),
-        # rank 2, a point: two equalities, integral or not, of either sign
+        # rank 2, a point: two opposite pairs per coordinate, integral or
+        # not, of either sign
         ([[(2, -1), (2, -1)]], (6, -3), (3, 3), (False,)),
         ([[(2, -1), (2, -1)]], (5, -3), (None, None), (False,)),
         ([[(2, -1), (2, -1)]], (-2, 1), (None, None), (False,)),
-        # rank 2, the origin: equalities with beta = 0
+        # rank 2, the origin: opposite pairs with beta = 0
         ([[(0, 0), (0, 0)]], (0, 0), (1, None), (True,)),
         ([[(0, 0), (0, 0)]], (1, 0), (None, None), (True,)),
         # rank 2, a segment on a line through 0 (beta = 0), then off it
@@ -88,6 +89,12 @@ def test_image_is_weight_hull_at_small_k(corpus):
         ([[(1, 0), (-1, 0)], [(0, 1), (0, -1)]], (3, -2), (3, None), (True,)),
         ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, -1), (None, None), (True,)),
         ([[(0, 0), (2, 0), (2, 2), (0, 2)]], (1, 1), (1, None), (True,)),
+        # rank 2, a point off the origin at a multiple and between two, and
+        # a segment off the origin with several scales (kept last, so the
+        # earlier case ids stay)
+        ([[(1, 2), (1, 2)]], (3, 6), (3, 3), (False,)),
+        ([[(1, 2), (1, 2)]], (3, 5), (None, None), (False,)),
+        ([[(1, 1), (3, 3)]], (7, 7), (3, 7), (False,)),
     ],
 )
 def test_scale_range_degenerate_branches(weights, mu, scales, zero):

@@ -4,6 +4,7 @@ import ast
 import importlib
 from fractions import Fraction
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -332,3 +333,20 @@ def test_readme_entry_points_resolve():
         if obj is None:
             missing.append(name)
     assert not missing, missing
+
+
+def test_public_surface_is_a_literal_list_of_names():
+    # equivol.__all__ is written out, so the public surface changes only
+    # when that list does: every entry resolves, and none is a submodule
+    init = Path(equivol.__file__)
+    (value,) = [
+        node.value
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    assert isinstance(value, ast.List) and all(isinstance(e, ast.Constant) for e in value.elts)
+    assert [e.value for e in value.elts] == equivol.__all__
+    missing = [name for name in equivol.__all__ if not hasattr(equivol, name)]
+    assert not missing, missing
+    modules = [name for name in equivol.__all__ if isinstance(getattr(equivol, name), ModuleType)]
+    assert not modules, modules

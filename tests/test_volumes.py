@@ -17,6 +17,7 @@ from equivol import (
     residue_volume,
     scenario_from_dict,
     scenario_power,
+    section_dimension,
     su2_scenario,
     validate_scenario,
     vanishing_certificate,
@@ -183,6 +184,18 @@ def test_volume_rank2(p1p1_diag):
             est = equivariant_volume(p1p1_diag, (m1, m2))
             expect = 1 if (m1 - m2) % 2 == 0 else 0
             assert est.value == expect, (m1, m2)
+
+
+def test_vanishing_shortcut_answers_a_moving_row_dependency():
+    # the rows of A satisfy x + y = k on P^1 with weights e1, e2, so
+    # mu = (1, 1) is counted only at k = 2.  The fit's k0 does not read
+    # that dependency, so the moment image must answer before any fit
+    # runs; this pins today's answer on the one route that gives it
+    s = circle_scenario([[(1, 0), (0, 1)]], [1])
+    assert [section_dimension(s, k, (1, 1)) for k in range(7)] == [0, 0, 1, 0, 0, 0, 0]
+    assert vanishing_certificate(s, (1, 1)) == 3
+    est = equivariant_volume(s, (1, 1))
+    assert (est.status, est.value, est.fit) == ("zero", 0, None)
 
 
 def test_volume_product():
