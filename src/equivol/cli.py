@@ -226,10 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, formats=True):
         if scenario:
             p.add_argument("--scenario", required=True, help="scenario document (JSON)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("multiplicity", help="isotypic dimensions at one level")
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exponent)
 
     p = sub.add_parser("classify", help="stability class and moment image")
-    common(p)
+    common(p, formats=False)
     p.add_argument("--mu-range", default=None, help="a..b for the r_mu table")
     p.set_defaults(func=cmd_classify)
 

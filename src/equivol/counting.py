@@ -24,7 +24,10 @@ weight off its coordinate's step counts 0.  The factor recurrence
 h_m += x_i * h_(m-1) is then a shift-add on ints (run in the box of the
 factor's own weights, then placed into the product's layout), the product
 over factors is one big-int multiply, and the same code serves every
-torus rank.
+torus rank.  A slot is a machine word of 1, 2, 4 or 8 bytes (past 8 bytes,
+the exact width), so each product is decoded once, as it is built, into
+``_Packed.counts``: an ``array`` of that word, or a tuple of ints past 8
+bytes.  Every reader indexes that one sequence.
 
 The ladder.  One recurrence up to degree M yields every row h_0..h_M, so
 :func:`_ladder` runs each factor's recurrence once, up to its last level,
@@ -61,8 +64,8 @@ The two coincide for circle powers.
 
 from __future__ import annotations
 
-import struct
 import sys
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, compress, product, repeat
 from math import comb, gcd, prod
@@ -105,21 +108,18 @@ def total_dimension(s: Scenario, k: int) -> int:
 class _Packed(NamedTuple):
     """Torus weight counts of one product of factors at fixed levels, twist
     excluded: weight w counts 0 unless every w_i - lo_i is a multiple of
-    steps_i, and otherwise its count sits in slot sum_i (w_i - lo_i) /
-    steps_i * prod(spans[i+1:]) of ``raw``, as an ``nbytes``-byte int in
-    native byte order."""
+    steps_i, and otherwise its count is ``counts[j]`` for the slot
+    j = sum_i (w_i - lo_i) / steps_i * prod(spans[i+1:])."""
 
     lo: tuple[int, ...]
     steps: tuple[int, ...]
     spans: tuple[int, ...]
-    nbytes: int
-    raw: bytes
+    counts: array | tuple[int, ...]
 
 
 _ORDER = sys.byteorder
-_SLOT_FORMATS = {struct.calcsize(c): c for c in "BHIQ"}
-# the narrowest machine format that holds a slot of 1..8 bytes
-_SLOT_WIDTHS = {nb: min(w for w in _SLOT_FORMATS if w >= nb) for nb in range(1, 9)}
+# slot width in bytes -> the array typecode of that machine word: 1, 2, 4, 8
+_SLOT_FORMATS = {array(c).itemsize: c for c in "BHIQ"}
 
 
 def _factor_rows(ws: tuple, reach: tuple, m: int, nbytes: int) -> list[int]:
@@ -156,6 +156,16 @@ def _place(h: int, src: list[int], box: list[int], strides: list[int], nbytes: i
     return int.from_bytes(out, _ORDER)
 
 
+def _counts(packed: int, nslots: int, nbytes: int) -> array | tuple[int, ...]:
+    """The `nslots` counts of `packed`, `nbytes` bytes a slot, decoded once:
+    an array of the machine word that wide, or past 8 bytes a tuple of
+    ints."""
+    raw = packed.to_bytes(nslots * nbytes, _ORDER)
+    if nbytes in _SLOT_FORMATS:
+        return array(_SLOT_FORMATS[nbytes], raw)
+    return tuple(int.from_bytes(raw[i : i + nbytes], _ORDER) for i in range(0, len(raw), nbytes))
+
+
 def _check_budget(layout: WeightLayout, top: tuple[int, ...]) -> None:
     """Raise EngineLimit when a ladder up to the factor degrees `top` exceeds
     CELL_BUDGET: the packed slots of the product, or the DP cells of a
@@ -182,13 +192,15 @@ def _ladder(layout: WeightLayout, top: tuple[int, ...], ladder):
     stays as small as at rank 1.  Each tuple of levels then places its
     factors' rows into its own product layout and multiplies them; slots
     are sized by the total dimension at the last levels, so every product
-    fits.
+    fits, and rounded up to a machine word (1, 2, 4 or 8 bytes; past 8
+    bytes the exact width), so each level's counts decode into one array.
     """
     _check_budget(layout, top)
     mins, steps, reduced, reach = layout
     axes = range(len(steps))
     total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(reduced, top))
-    nbytes = max(1, (total.bit_length() + 7) // 8)
+    nbytes = (total.bit_length() + 7) // 8
+    nbytes = min((w for w in _SLOT_FORMATS if w >= nbytes), default=nbytes)
     rows = [_factor_rows(ws, r, m, nbytes) for ws, r, m in zip(reduced, reach, top)]
     srcs = [[1 + m * x for x in r] for r, m in zip(reach, top)]
     for levels in ladder:
@@ -199,7 +211,7 @@ def _ladder(layout: WeightLayout, top: tuple[int, ...], ladder):
         for rs, src, box, m in zip(rows, srcs, boxes, levels):
             packed *= _place(rs[m], src, box, strides, nbytes)
         lo = tuple(sum(m * a[i] for m, a in zip(levels, mins)) for i in axes)
-        yield _Packed(lo, steps, spans, nbytes, packed.to_bytes(prod(spans) * nbytes, _ORDER))
+        yield _Packed(lo, steps, spans, _counts(packed, prod(spans), nbytes))
 
 
 def _records(s: Scenario, ks) -> list[_Packed]:
@@ -220,25 +232,11 @@ def _records(s: Scenario, ks) -> list[_Packed]:
     return [store[lv] for lv in levels]
 
 
-def _slots(p: _Packed) -> tuple[int, ...]:
-    nb, raw = p.nbytes, p.raw
-    width = _SLOT_WIDTHS.get(nb)
-    if width is None:
-        return tuple(int.from_bytes(raw[i : i + nb], _ORDER) for i in range(0, len(raw), nb))
-    if width > nb:  # widen every slot to a machine format, one byte lane at a time
-        wide = bytearray(len(raw) // nb * width)
-        pad = width - nb if _ORDER == "big" else 0
-        for j in range(nb):
-            wide[pad + j :: width] = raw[j::nb]
-        raw = wide
-    return tuple(memoryview(raw).cast(_SLOT_FORMATS[width]))
-
-
 def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
     """The weights mu with N(mu) > 0 in the level-k counts `p` of a bundle
     with character `twist`, in weight order (a rank-1 mu is an int), and
     their multiplicities N(mu)."""
-    counts = _slots(p)
+    counts = p.counts
     axes = [range(a + k * c, a + k * c + g * n, g) for a, c, g, n in zip(p.lo, twist, p.steps, p.spans)]
     weights = product(*axes) if len(axes) > 1 else axes[0]
     if su2:
@@ -246,7 +244,7 @@ def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
         # weight mu + 2 sits 2 // g slots after mu; N(mu) = count(mu) -
         # count(mu + 2) for mu >= 0
         i, j = -(weights[0] // p.steps[0]), 2 // p.steps[0]
-        counts = list(map(sub, counts[i:], counts[i + j :] + (0,) * j))
+        counts = list(map(sub, counts[i:], chain(counts[i + j :], repeat(0, j))))
         weights = weights[i:]
         if min(counts, default=0) < 0:
             mu = weights[counts.index(min(counts))]
@@ -266,8 +264,7 @@ def _weight_count(p: _Packed, vec, k: int, twist) -> int:
         if not 0 <= x < n:
             return 0
         idx = idx * n + x
-    nb = p.nbytes
-    return int.from_bytes(p.raw[idx * nb : idx * nb + nb], _ORDER)
+    return p.counts[idx]
 
 
 def section_dimensions(s: Scenario, mu, ks) -> list[int]:
@@ -313,15 +310,13 @@ def full_weight_distribution(s: Scenario, k: int) -> dict:
 @dataclass
 class IsotypicTable:
     """Exact isotypic dimensions (k, mu) -> N(mu) * dim V_mu for
-    k = 0..k_max, stored by level as the ladder yields them: ``levels[k]``
+    k = 0, 1, ..., stored by level as the ladder yields them: ``levels[k]``
     is a triple (k, weights mu in weight order, their dimensions).
 
     Levels cover the support only; absent pairs have dimension 0.
     Treat instances as immutable once built.
     """
 
-    scenario: Scenario
-    k_max: int
     levels: list = field(default_factory=list)
 
     def sorted_items(self) -> list:
@@ -341,7 +336,7 @@ def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     once, up to k_max * d_j, and nothing is cached.  Level k_max is checked
     against the budget before any level is built."""
     if k_max < 0:
-        return IsotypicTable(s, k_max)
+        return IsotypicTable()
     twist, su2 = s.twist_vec, s.group.is_su2
     ladder = (_level_degrees(s, k) for k in range(k_max + 1))
     levels = []
@@ -350,7 +345,7 @@ def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
         if su2:  # dim V_mu = mu + 1; it is 1 for circle powers
             ns = [n * (mu + 1) for mu, n in zip(mus, ns)]
         levels.append((k, mus, ns))
-    return IsotypicTable(s, k_max, levels)
+    return IsotypicTable(levels)
 
 
 # ---------------------------------------------------------------------------

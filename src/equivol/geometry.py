@@ -263,7 +263,8 @@ class StabilizerData:
     For circle powers this is the full generic stabilizer (kernel of all
     coordinate-weight differences).  For su2 it is the part in the maximal
     torus, {+-1} or trivial; a generic stabilizer outside the torus, as for
-    binary cubics, is not seen.
+    binary cubics, is not seen.  For su2, ``order`` is an order in SU(2):
+    {+-1} has order 2, and its image in PSL(2) = SO(3) has half that order.
     """
 
     order: int | None

@@ -184,7 +184,7 @@ def _levels(s: Scenario, mu) -> list[list[int]]:
     for _, n in lat.walls:
         slope = sum(map(mul, n, b1))
         for b0 in b0s if slope else ():
-            k0 = max(k0, 1 + (-sum(map(mul, n, b0)) // slope if any(b0) else 0))
+            k0 = max(k0, 1 + -sum(map(mul, n, b0)) // slope)
     return [[k0 + (r - k0) % period + j * period for j in range(width)] for r in range(period)]
 
 

@@ -228,6 +228,13 @@ def test_unwritable_out_is_input_error(tmp_path, capsys, argv, target, reason):
     assert argv[0] == "verify" or stdout == ""
 
 
+def test_classify_takes_no_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--scenario", P2, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_empty_table_header_only(tmp_path, capsys):
     # a weight outside the reachable range yields a zero row, never a crash
     code, out, _ = run(capsys, "multiplicity", "--scenario", P1, "--k", "2", "--mu", "9")

@@ -10,6 +10,7 @@ import json
 import random
 import sys
 import time
+from array import array
 from itertools import product
 from math import prod
 from operator import mul
@@ -293,8 +294,61 @@ def test_place_matches_slotwise_copy(src, box, spans, nbytes):
 def test_slots_decode_every_width(nbytes):
     values = [0, 1, 255, 2 ** (8 * nbytes) - 1, 7]
     raw = b"".join(v.to_bytes(nbytes, sys.byteorder) for v in values)
-    p = counting._Packed((0,), (1,), (len(values),), nbytes, raw)
-    assert counting._slots(p) == tuple(values)
+    counts = counting._counts(int.from_bytes(raw, sys.byteorder), len(values), nbytes)
+    assert list(counts) == values
+
+
+# P^11 with four weights -1, four 0 and four 1: the total dimension at
+# k = 0, 1, 3, 8, 40 needs 1, 1, 2, 3, 5 bytes.  P^25 with nine -1, eight 0
+# and nine 1 needs 9 at k = 60.
+P11 = [-1] * 4 + [0] * 4 + [1] * 4
+P25 = [-1] * 9 + [0] * 8 + [1] * 9
+
+
+@pytest.mark.parametrize(
+    "weights, k, itemsize",
+    [(P11, 0, 1), (P11, 1, 1), (P11, 3, 2), (P11, 8, 4), (P11, 40, 8), (P25, 60, None)],
+)
+def test_ladder_counts_are_machine_words(weights, k, itemsize):
+    s = circle_scenario([weights], [1])
+    (p,) = counting._ladder(s.space.weight_layout, (k,), [(k,)])
+    if itemsize is None:  # past 8 bytes a slot, the counts are Python ints
+        assert type(p.counts) is tuple
+    else:
+        assert isinstance(p.counts, array) and p.counts.itemsize == itemsize
+    assert sum(p.counts) == total_dimension(s, k)
+    assert p.counts[k] == section_dimension(s, k, 0)  # weights -k..k, one slot each
+
+
+def _raise_weight_2(p):
+    """Record `p` with the count at weight 2 one above the count at weight 0,
+    which no SU(2) level has: N(0) = count(0) - count(2) turns negative."""
+    counts = list(p.counts)
+    at0 = -p.lo[0] // p.steps[0]
+    counts[at0 + 2 // p.steps[0]] = counts[at0] + 1
+    return p._replace(counts=tuple(counts))
+
+
+def test_su2_point_and_level_reads_guard_unimodality(su2_p3, monkeypatch):
+    records = counting._records
+    monkeypatch.setattr(counting, "_records", lambda s, ks: list(map(_raise_weight_2, records(s, ks))))
+    with pytest.raises(RuntimeError, match=r"not unimodal at mu=0, k=2: engine bug"):
+        full_weight_distribution(su2_p3, 2)
+    with pytest.raises(RuntimeError, match=r"not unimodal at mu=0, k=2: engine bug"):
+        section_dimension(su2_p3, 2, 0)
+
+
+def test_su2_table_guards_unimodality(su2_p3, monkeypatch):
+    ladder = counting._ladder
+
+    def one_bad_level(layout, top, levels):
+        levels = list(levels)
+        for lv, p in zip(levels, ladder(layout, top, levels)):
+            yield _raise_weight_2(p) if lv == (2,) else p
+
+    monkeypatch.setattr(counting, "_ladder", one_bad_level)
+    with pytest.raises(RuntimeError, match=r"not unimodal at mu=0, k=2: engine bug"):
+        isotypic_table(su2_p3, 4)
 
 
 def test_oracle_budget_guard(p2_circle, corpus, monkeypatch):
