@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from . import geometry, suites, tables
+from . import counting, geometry, suites, tables
 from .corpus import default_corpus
 from .counting import EngineLimit, full_weight_distribution, isotypic_table, section_dimension
 from .model import Scenario, ScenarioError, UnsupportedScenario, scenario_from_dict
@@ -65,7 +65,11 @@ def _parse_mu_range(text: str, s: Scenario):
         raise InputError(f"cannot parse range {text!r}; expected a..b") from exc
     if lo > hi:
         raise InputError(f"empty range {text!r}")
-    if not (mus := s.weights_in_box(lo, hi)):  # su2 weights start at 0
+    first = max(lo, 0) if s.group.is_su2 else lo  # su2 weights start at 0
+    size = max(hi - first + 1, 0) ** s.group.torus_rank
+    if size > counting.CELL_BUDGET:  # counted before the box is listed
+        raise InputError(f"--mu-range {text!r} spans {size} weights > budget {counting.CELL_BUDGET}")
+    if not (mus := s.weights_in_box(lo, hi)):
         raise InputError(f"no dominant weight in range {text!r}")
     return mus
 

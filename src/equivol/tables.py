@@ -8,7 +8,8 @@ fixed separator convention.  Every row emitter yields tuples in the order
 of its header; CSV writes them as they are, and JSON zips each with the
 header into an object.  :func:`multiplicity_rows` streams its rows level
 by level from the levels' own lists, so a table is never copied into a
-list of rows, and each reader reads them once.
+list of rows, and each reader reads them once; its CSV is written a level
+at a time from those lists, with no row tuple built.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
+from operator import add
 
 
 def render_rational(x) -> str:
@@ -42,18 +44,44 @@ class _Names(dict):
         return name
 
 
+class _TableRows(chain):
+    """The rows of :func:`multiplicity_rows`, with the `levels` they are
+    read from, so that :func:`to_csv` can write a level at a time."""
+
+    levels: list
+
+
 def multiplicity_rows(s, levels):
     """(k, mu, dim) rows from (k, weights, dims) levels, one row per weight,
-    in the order given, as a one-pass iterator.
+    in the order given, as a one-pass iterator that keeps the levels.
 
     Callers pass the levels in k order and each level's weights in weight
     order, which is the order of the rows; `s` is not consulted.  Each
     distinct weight is rendered once, and its rows share the string.  The
     rows are zipped from the levels' lists by C iterators, so no Python
-    code runs per row.
+    code runs per row; :func:`to_csv` reads the levels' lists instead.
     """
     names = _Names()
-    return chain.from_iterable(zip(repeat(k), map(names.__getitem__, mus), ns) for k, mus, ns in levels)
+    rows = _TableRows.from_iterable(zip(repeat(k), map(names.__getitem__, mus), ns) for k, mus, ns in levels)
+    rows.levels = levels
+    return rows
+
+
+def _level_csv(level) -> str:
+    """The CSV lines of one (k, weights, dims) level: one %-template per
+    row, repeated and filled from the level's lists in one call.  A weight
+    is quoted exactly when its rendered form has a comma, as csv.writer
+    quotes it."""
+    k, mus, ns = level
+    if not mus:
+        return ""
+    mu = mus[0]
+    if not isinstance(mu, tuple):
+        return f"{k},%d,%d\n" * len(mus) % tuple(chain.from_iterable(zip(mus, ns)))
+    name = "(" + ",".join(["%d"] * len(mu)) + ")"
+    if len(mu) > 1:
+        name = f'"{name}"'
+    return f"{k},{name},%d\n" * len(mus) % tuple(chain.from_iterable(map(add, mus, zip(ns))))
 
 
 def volume_rows(pairs):
@@ -68,10 +96,14 @@ def volume_rows(pairs):
 
 def to_csv(rows, fieldnames) -> str:
     """A header line of `fieldnames`, then the rows, each a sequence of
-    values in header order, written in one call."""
+    values in header order.  The rows of :func:`multiplicity_rows` are
+    written a level at a time from the levels' lists and joined once; any
+    other rows, whose strings may need quoting, go to one csv.writer call."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
+    if isinstance(rows, _TableRows):
+        return "".join(chain((buf.getvalue(),), map(_level_csv, rows.levels)))
     writer.writerows(rows)
     return buf.getvalue()
 

@@ -200,6 +200,14 @@ def test_mu_required(capsys):
         (["classify", "--scenario", SU2, "--mu-range=3..1"], "empty range '3..1'"),
         (["multiplicity", "--scenario", P2, "--k", "1", "--mu", "1", "--all-mu"], "takes --mu or --all-mu, not both"),
         (["classify", "--scenario", "SU2_PRODUCT"], "su2 geometry supports single-factor scenarios"),
+        # a box past the cell budget is refused before its weights are listed
+        (["volume", "--scenario", P2, "--mu-range=-100000000..100000000"],
+         "--mu-range '-100000000..100000000' spans 200000001 weights > budget 60000000"),
+        (["predict", "--scenario", P2, "--mu-range=-100000000..100000000"], "spans 200000001 weights"),
+        (["classify", "--scenario", UNSTABLE, "--mu-range=-100000000..100000000"], "spans 200000001 weights"),
+        (["volume", "--scenario", str(scenario_path("p1p1_diag")), "--mu-range=-4000..4000"],
+         "--mu-range '-4000..4000' spans 64016001 weights"),
+        (["volume", "--scenario", SU2, "--mu-range=-100000000..60000000"], "spans 60000001 weights"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
