@@ -48,35 +48,43 @@ def load_scenario(path: str) -> Scenario:
         raise InputError(f"scenario {path}: {exc}") from exc
 
 
-def _parse_mu(text: str):
+def _weights(args, s: Scenario):
+    """The weights that the command's weight flags select on `s`, read
+    right after the scenario loads, before any count, fit or
+    classification: ``[mu]`` for --mu, the dominant weights of the
+    --mu-range box, None for --all-mu (every weight of the level), and the
+    default window for a command without --mu given no range.  A command
+    with --mu takes exactly one of --mu and its other flag."""
+    text, box, every = getattr(args, "mu", None), getattr(args, "mu_range", None), getattr(args, "all_mu", False)
+    if hasattr(args, "mu"):
+        other = "--all-mu" if hasattr(args, "all_mu") else "--mu-range"
+        if text is not None and (every or box is not None):
+            raise InputError(f"{args.command} takes --mu or {other}, not both")
+        if text is None and not (every or box is not None):
+            raise InputError(f"{args.command} needs --mu or {other}")
+    if text is not None:
+        try:
+            return [tuple(int(x) for x in text.strip("()").split(",")) if "," in text else int(text)]
+        except ValueError as exc:
+            raise InputError(f"cannot parse weight {text!r}") from exc
+    if every:
+        return None
+    if box is None:
+        return s.default_mus()
     try:
-        if "," in text:
-            return tuple(int(x) for x in text.strip("()").split(","))
-        return int(text)
-    except ValueError as exc:
-        raise InputError(f"cannot parse weight {text!r}") from exc
-
-
-def _parse_mu_range(text: str, s: Scenario):
-    try:
-        lo, hi = text.split("..")
+        lo, hi = box.split("..")
         lo, hi = int(lo), int(hi)
     except ValueError as exc:
-        raise InputError(f"cannot parse range {text!r}; expected a..b") from exc
+        raise InputError(f"cannot parse range {box!r}; expected a..b") from exc
     if lo > hi:
-        raise InputError(f"empty range {text!r}")
+        raise InputError(f"empty range {box!r}")
     first = max(lo, 0) if s.group.is_su2 else lo  # su2 weights start at 0
     size = max(hi - first + 1, 0) ** s.group.torus_rank
     if size > counting.CELL_BUDGET:  # counted before the box is listed
-        raise InputError(f"--mu-range {text!r} spans {size} weights > budget {counting.CELL_BUDGET}")
+        raise InputError(f"--mu-range {box!r} spans {size} weights > budget {counting.CELL_BUDGET}")
     if not (mus := s.weights_in_box(lo, hi)):
-        raise InputError(f"no dominant weight in range {text!r}")
+        raise InputError(f"no dominant weight in range {box!r}")
     return mus
-
-
-def _mus(args, s: Scenario):
-    """The weights of --mu-range, or the default window."""
-    return _parse_mu_range(args.mu_range, s) if args.mu_range else s.default_mus()
 
 
 def _write(text: str, path) -> None:
@@ -101,28 +109,19 @@ def _emit(rows, fieldnames, args):
 
 def cmd_multiplicity(args) -> int:
     s = load_scenario(args.scenario)
-    if args.all_mu:
-        if args.mu is not None:
-            raise InputError("multiplicity takes --mu or --all-mu, not both")
+    mus = _weights(args, s)
+    if mus is None:
         dist = full_weight_distribution(s, args.k)
         level = (args.k, list(dist), [n * s.dim_irrep(mu) for mu, n in dist.items()])
     else:
-        if args.mu is None:
-            raise InputError("multiplicity needs --mu or --all-mu")
-        mu = _parse_mu(args.mu)
-        level = (args.k, [mu], [section_dimension(s, args.k, mu)])
+        level = (args.k, mus, [section_dimension(s, args.k, mu) for mu in mus])
     _emit(tables.multiplicity_rows(s, [level]), ["k", "mu", "dim"], args)
     return 0
 
 
 def cmd_volume(args) -> int:
     s = load_scenario(args.scenario)
-    if args.mu is not None:
-        mus = [_parse_mu(args.mu)]
-    elif args.mu_range is not None:
-        mus = _parse_mu_range(args.mu_range, s)
-    else:
-        raise InputError("volume needs --mu or --mu-range")
+    mus = _weights(args, s)
     pairs = [(mu, equivariant_volume(s, mu)) for mu in mus]
     _emit(tables.volume_rows(pairs), ["mu", "value", "status", "residue", "period"], args)
     return 0
@@ -155,7 +154,7 @@ def _render_image(img) -> str:
 
 def cmd_classify(args) -> int:
     s = load_scenario(args.scenario)
-    mus = _mus(args, s)  # a bad --mu-range is an input error on every scenario
+    mus = _weights(args, s)
     rep = geometry.classify_stability(s)
     lines = [
         f"stability: {rep.stability}",
@@ -180,6 +179,7 @@ def cmd_classify(args) -> int:
 
 def cmd_predict(args) -> int:
     s = load_scenario(args.scenario)
+    mus = _weights(args, s)
     rep = geometry.classify_stability(s)
     if rep.stability != "regular":
         raise InputError(f"prediction is defined for regular scenarios, got {rep.stability}")
@@ -188,7 +188,7 @@ def cmd_predict(args) -> int:
         print(f"vol_0 is {vol0.status}", file=sys.stderr)
         return 1
     rows = []
-    for mu in _mus(args, s):
+    for mu in mus:
         cert = geometry.numerically_compatible(s, mu)
         predicted = geometry.predicted_volume(s, mu, vol0.value)
         witness = "" if cert.witness is None else cert.witness

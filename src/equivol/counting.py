@@ -21,13 +21,15 @@ radix over the *product's* per-coordinate span (the last coordinate
 varies fastest), and every slot is b = 8 * nbytes bits, enough to hold the
 total dimension, so no coefficient ever carries into its neighbour.  A
 weight off its coordinate's step counts 0.  The factor recurrence
-h_m += x_i * h_(m-1) is then a shift-add on ints (run in the box of the
-factor's own weights, then placed into the product's layout), the product
-over factors is one big-int multiply, and the same code serves every
-torus rank.  A slot is a machine word of 1, 2, 4 or 8 bytes (past 8 bytes,
-the exact width), so each product is decoded once, as it is built, into
-``_Packed.counts``: an ``array`` of that word, or a tuple of ints past 8
-bytes.  Every reader indexes that one sequence.
+h_m += x_i * h_(m-1) is then a shift-add on ints, run in the box of the
+factor's own weights.  At torus rank 1 a row's slots already sit where the
+product's layout puts them, so the rows multiply as they are; at rank >= 2
+each row is first joined into the product's layout, axis by axis.  The
+product over factors is one big-int multiply.  A slot is a machine word of
+1, 2, 4 or 8 bytes (past 8 bytes, the exact width), so each product is
+decoded once, as it is built, into ``_Packed.counts``: an ``array`` of
+that word, or a tuple of ints past 8 bytes.  Every reader indexes that one
+sequence.
 
 The ladder.  One recurrence up to degree M yields every row h_0..h_M, so
 :func:`_ladder` runs each factor's recurrence once, up to its last level,
@@ -139,21 +141,23 @@ def _factor_rows(ws: tuple, reach: tuple, m: int, nbytes: int) -> list[int]:
 
 def _place(h: int, src: list[int], box: list[int], strides: list[int], nbytes: int) -> int:
     """Move the corner `box` of packed `h`, laid out in the box `src`, into
-    the layout with the given strides, one run along the last coordinate at
-    a time."""
-    if len(box) == 1:
+    the layout with the given strides.  Along each axis, the blocks of the
+    next axis are joined with the zero gap that separates them in that
+    layout; along the last axis but one, those blocks are runs of `src`.
+    One recursion serves every rank."""
+    if prod(box[:-1]) == 1:  # one run, at the start of both layouts
         return h
-    at, fr = [0], [0]  # byte offsets of every run, in the layout and in `src`
-    for i, n in enumerate(box[:-1]):
-        step, src_step = strides[i] * nbytes, prod(src[i + 1 :]) * nbytes
-        at = [a + x for a in at for x in range(0, n * step, step)]
-        fr = [f + x for f in fr for x in range(0, n * src_step, src_step)]
-    run = box[-1] * nbytes
-    data = h.to_bytes(fr[-1] + run, _ORDER)
-    out = bytearray(at[-1] + run)
-    for a, f in zip(at, fr):
-        out[a : a + run] = data[f : f + run]
-    return int.from_bytes(out, _ORDER)
+    run, last = box[-1] * nbytes, len(box) - 2
+    src_steps = [prod(src[i + 1 :]) * nbytes for i in range(last + 1)]  # bytes between blocks
+    data = h.to_bytes(sum((n - 1) * g for n, g in zip(box, src_steps)) + run, _ORDER)
+
+    def block(i: int, at: int) -> bytes:
+        step = src_steps[i]
+        starts = range(at, at + box[i] * step, step)
+        blocks = [data[a : a + run] for a in starts] if i == last else [block(i + 1, a) for a in starts]
+        return bytes(strides[i] * nbytes - len(blocks[0])).join(blocks)
+
+    return int.from_bytes(block(0, 0), _ORDER)
 
 
 def _counts(packed: int, nslots: int, nbytes: int) -> array | tuple[int, ...]:
@@ -189,28 +193,38 @@ def _ladder(layout: WeightLayout, top: tuple[int, ...], ladder):
 
     Each factor's recurrence runs once, up to its last level, in the box of
     its own reduced weights, so a factor that moves in one coordinate only
-    stays as small as at rank 1.  Each tuple of levels then places its
-    factors' rows into its own product layout and multiplies them; slots
-    are sized by the total dimension at the last levels, so every product
-    fits, and rounded up to a machine word (1, 2, 4 or 8 bytes; past 8
-    bytes the exact width), so each level's counts decode into one array.
+    stays as small as at rank 1.  Slots are sized by the total dimension at
+    the last levels, so every product fits, and rounded up to a machine
+    word (1, 2, 4 or 8 bytes; past 8 bytes the exact width), so each
+    level's counts decode into one array.  What the ladder alone fixes is
+    read before the first level; a level then costs its spans, its least
+    weight, one product and one decode.  At torus rank 1 a row's corner
+    already is its place in the product's layout, so the rows at a level's
+    degrees multiply as they are; at rank >= 2 each is placed first.
     """
     _check_budget(layout, top)
     mins, steps, reduced, reach = layout
-    axes = range(len(steps))
     total = prod(comb(len(ws) - 1 + m, m) for ws, m in zip(reduced, top))
     nbytes = (total.bit_length() + 7) // 8
     nbytes = min((w for w in _SLOT_FORMATS if w >= nbytes), default=nbytes)
     rows = [_factor_rows(ws, r, m, nbytes) for ws, r, m in zip(reduced, reach, top)]
+    axis_reach, axis_mins = list(zip(*reach)), list(zip(*mins))  # per axis, per factor
+    if len(steps) == 1:
+        (factor_reach,), (factor_mins,) = axis_reach, axis_mins
+        for levels in ladder:
+            span = 1 + sum(map(mul, levels, factor_reach))
+            packed = prod([rs[m] for rs, m in zip(rows, levels)])
+            yield _Packed((sum(map(mul, levels, factor_mins)),), steps, (span,), _counts(packed, span, nbytes))
+        return
     srcs = [[1 + m * x for x in r] for r, m in zip(reach, top)]
     for levels in ladder:
-        boxes = [[1 + m * x for x in r] for r, m in zip(reach, levels)]
-        spans = tuple(1 + sum(box[i] - 1 for box in boxes) for i in axes)
-        strides = [prod(spans[i + 1 :]) for i in axes]
-        packed = 1
-        for rs, src, box, m in zip(rows, srcs, boxes, levels):
-            packed *= _place(rs[m], src, box, strides, nbytes)
-        lo = tuple(sum(m * a[i] for m, a in zip(levels, mins)) for i in axes)
+        spans = tuple([1 + sum(map(mul, levels, r)) for r in axis_reach])
+        strides = [prod(spans[i + 1 :]) for i in range(len(spans))]
+        packed = prod([
+            _place(rs[m], src, [1 + m * x for x in r], strides, nbytes)
+            for rs, src, r, m in zip(rows, srcs, reach, levels)
+        ])
+        lo = tuple([sum(map(mul, levels, a)) for a in axis_mins])
         yield _Packed(lo, steps, spans, _counts(packed, prod(spans), nbytes))
 
 
@@ -220,12 +234,14 @@ def _records(s: Scenario, ks) -> list[_Packed]:
     not stored yet are built in one :func:`_ladder`, sorted by k, and stored
     first.  A top level that is not stored is checked against the budget
     before the per-level list is built, so a huge request fails at once;
-    the top of a range is read off its ends, without iterating it."""
-    store, layout = s.space.level_store, s.space.weight_layout
-    top = _level_degrees(s, max(ks[0], ks[-1]) if isinstance(ks, range) and ks else max(ks, default=0))
+    the ends of a range are read off it, without iterating it."""
+    store, layout, degrees = s.space.level_store, s.space.weight_layout, s.bundle.degrees
+    ends = (ks[0], ks[-1]) if isinstance(ks, range) and ks else ks
+    _level_degrees(s, min(ends, default=0))  # a negative k is refused here
+    top = _level_degrees(s, max(ends, default=0))
     if top not in store:
         _check_budget(layout, top)
-    levels = [_level_degrees(s, k) for k in ks]
+    levels = [tuple([k * d for d in degrees]) for k in ks]
     missing = sorted({lv for lv in levels if lv not in store})
     if missing:
         store.update(zip(missing, _ladder(layout, missing[-1], missing)))
@@ -237,8 +253,11 @@ def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
     with character `twist`, in weight order (a rank-1 mu is an int), and
     their multiplicities N(mu)."""
     counts = p.counts
-    axes = [range(a + k * c, a + k * c + g * n, g) for a, c, g, n in zip(p.lo, twist, p.steps, p.spans)]
-    weights = product(*axes) if len(axes) > 1 else axes[0]
+    if len(p.spans) == 1:
+        (a,), (c,), (g,), (n,) = p.lo, twist, p.steps, p.spans
+        weights = range(a + k * c, a + k * c + g * n, g)
+    else:
+        weights = product(*[range(a + k * c, a + k * c + g * n, g) for a, c, g, n in zip(p.lo, twist, p.steps, p.spans)])
     if su2:
         # su2 torus weights are symmetric about 0 with step g = 1 or 2, so
         # weight mu + 2 sits 2 // g slots after mu; N(mu) = count(mu) -
@@ -334,11 +353,12 @@ class IsotypicTable:
 def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
     """Every level 0..k_max from one ladder: each factor's recurrence runs
     once, up to k_max * d_j, and nothing is cached.  Level k_max is checked
-    against the budget before any level is built."""
+    against the budget before any level is built; the degrees of each
+    level are read off the ranges of k * d_j, as no k here is negative."""
     if k_max < 0:
         return IsotypicTable()
-    twist, su2 = s.twist_vec, s.group.is_su2
-    ladder = (_level_degrees(s, k) for k in range(k_max + 1))
+    twist, su2, degrees = s.twist_vec, s.group.is_su2, s.bundle.degrees
+    ladder = zip(*[range(0, (k_max + 1) * d, d) for d in degrees])
     levels = []
     for k, p in enumerate(_ladder(s.space.weight_layout, _level_degrees(s, k_max), ladder)):
         mus, ns = _multiplicities(p, k, twist, su2)

@@ -208,6 +208,11 @@ def test_mu_required(capsys):
         (["volume", "--scenario", str(scenario_path("p1p1_diag")), "--mu-range=-4000..4000"],
          "--mu-range '-4000..4000' spans 64016001 weights"),
         (["volume", "--scenario", SU2, "--mu-range=-100000000..60000000"], "spans 60000001 weights"),
+        # the weight flags are read before any count, fit or classification
+        (["volume", "--scenario", UNSTABLE, "--mu", "1", "--mu-range=abc"], "volume takes --mu or --mu-range, not both"),
+        (["volume", "--scenario", P2, "--mu", "0", "--mu-range=0..2"], "volume takes --mu or --mu-range, not both"),
+        (["predict", "--scenario", UNSTABLE, "--mu-range=abc"], "cannot parse range 'abc'"),
+        (["classify", "--scenario", UNSTABLE, "--mu-range="], "cannot parse range ''"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):

@@ -14,6 +14,7 @@ from array import array
 from itertools import product
 from math import prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,8 @@ from equivol import (
 )
 from equivol.cli import main
 from equivol.counting import conservation_sides
+
+DOCS = Path(__file__).with_name("docs")
 
 
 def assert_oracle_agrees(s, k_range):
@@ -190,6 +193,22 @@ def test_isotypic_table_matches_levels_on_corpus(corpus):
             assert isotypic_table(s, k_max).entries == level_entries(s, k_max), (name, k_max)
 
 
+# the level-60 weight DP of these two is past the budget
+TABLE_TOPS = {"circle_rank3_p4": 20, "rank2_p1p2_engine_limit": 20}
+
+
+@pytest.mark.parametrize("path", sorted(DOCS.glob("*.json")), ids=lambda path: path.stem)
+def test_isotypic_table_matches_levels_beyond_corpus(path):
+    # circle rank 3, SU(2) products and counts past 8 bytes, far up the
+    # ladder: each level of the table, weights in order, as read alone
+    s = scenario_from_dict(json.loads(path.read_text()))
+    k_max = TABLE_TOPS.get(path.stem, 60)
+    levels = [(k, full_weight_distribution(s, k)) for k in range(k_max + 1)]
+    assert isotypic_table(s, k_max).levels == [
+        (k, list(dist), [n * s.dim_irrep(mu) for mu, n in dist.items()]) for k, dist in levels
+    ]
+
+
 def test_isotypic_table_leaves_packed_cache_alone(corpus):
     # a freshly parsed scenario starts with an empty level store
     for name, s in corpus:
@@ -275,9 +294,14 @@ def slotwise_place(h, src, box, strides, nbytes):
         ((4, 1), (3, 1), (5, 3)),  # a constant last coordinate
         ((1, 5), (1, 4), (1, 6)),  # a constant leading coordinate
         ((3, 2, 4), (2, 2, 3), (4, 3, 5)),
+        ((3, 2, 2, 3), (2, 2, 1, 3), (4, 3, 2, 5)),
+        # the box fills its source along the last two axes and the layout
+        # along the last: the join along the middle axis has no gap, and
+        # the join along the first has one
+        ((3, 2, 4), (2, 2, 4), (3, 3, 4)),
     ],
 )
-@pytest.mark.parametrize("nbytes", (1, 3))
+@pytest.mark.parametrize("nbytes", (1, 3, 8))
 def test_place_matches_slotwise_copy(src, box, spans, nbytes):
     # a row fills only its corner box of the source layout
     rng = random.Random(f"{src}{box}{nbytes}")
