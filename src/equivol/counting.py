@@ -41,15 +41,20 @@ products (:class:`_Packed`), laid out by the space's torus weights
 reduced by their steps (``Space.weight_layout``).  The counts depend on
 the space alone, and every scenario that ``model.with_bundle`` derives
 from another (its tensor powers, its products with other bundles) is on
-the very same ``Space``, so they all read one store.  A
-read collects the levels it needs that are not stored yet, builds them in
-one ladder sorted by k, stores them and then reads the slots; a stored
-level is never rebuilt, also after CELL_BUDGET falls, since the budget
-guards new work only.  The twist never enters the store but is applied
-as an offset when a slot is read.  :func:`section_dimensions` reads one
-weight at many levels in one call (a volume fit reads all its sample
-levels in one such call), and :func:`full_weight_distribution` reads
-every weight of one level.
+the very same ``Space``, so they all read one store.  A read collects the
+levels it needs that are not stored yet (the set of its levels less the
+store's keys), builds them in one ladder sorted by k, stores them and
+then reads the slots; a stored level is never rebuilt, also after
+CELL_BUDGET falls, since the budget guards new work only.  The twist
+never enters the store but is applied as an offset when a slot is read.
+Both readers take many levels in one call, so that a caller that needs
+several levels pays one ladder for them: :func:`section_dimensions` reads
+one weight at each level (a volume fit reads all its sample levels in
+one such call; at torus rank 1 a level costs one divmod), and
+:func:`full_weight_distributions` reads every weight of each level (the
+verification suites read their level sets so).
+:func:`section_dimension` and :func:`full_weight_distribution` are their
+one-level cases.
 
 Every DP and product is checked against one cap, CELL_BUDGET, read at call
 time; a request past it raises :class:`EngineLimit`.  For a deliberately
@@ -235,17 +240,17 @@ def _records(s: Scenario, ks) -> list[_Packed]:
     first.  A top level that is not stored is checked against the budget
     before the per-level list is built, so a huge request fails at once;
     the ends of a range are read off it, without iterating it."""
-    store, layout, degrees = s.space.level_store, s.space.weight_layout, s.bundle.degrees
+    store, layout = s.space.level_store, s.space.weight_layout
     ends = (ks[0], ks[-1]) if isinstance(ks, range) and ks else ks
     _level_degrees(s, min(ends, default=0))  # a negative k is refused here
     top = _level_degrees(s, max(ends, default=0))
     if top not in store:
         _check_budget(layout, top)
-    levels = [tuple([k * d for d in degrees]) for k in ks]
-    missing = sorted({lv for lv in levels if lv not in store})
+    levels = list(zip(*[[k * d for k in ks] for d in s.bundle.degrees]))
+    missing = sorted(set(levels) - store.keys())
     if missing:
         store.update(zip(missing, _ladder(layout, missing[-1], missing)))
-    return [store[lv] for lv in levels]
+    return list(map(store.__getitem__, levels))
 
 
 def _multiplicities(p: _Packed, k: int, twist, su2: bool) -> tuple[list, list]:
@@ -294,19 +299,27 @@ def section_dimensions(s: Scenario, mu, ks) -> list[int]:
 
     The weight and the bundle are read once; each level then costs one
     slot of its record, two for SU(2), where N(mu) is the torus count at
-    mu minus that at mu + 2.
+    mu minus that at mu + 2.  At torus rank 1 (circle rank 1 and SU(2))
+    the slot is found with one divmod; at rank >= 2 by
+    :func:`_weight_count`.
     """
     vec, dim, twist = s.weight_vec(mu), s.dim_irrep(mu), s.twist_vec
-    above = (vec[0] + 2,) if s.group.is_su2 else None
     if iter(ks) is ks:  # a one-shot iterator; _records reads ks twice
         ks = list(ks)
+    records = _records(s, ks)
+    if len(vec) > 1:
+        return [_weight_count(p, vec, k, twist) * dim for k, p in zip(ks, records)]
+    (x,), (c,), su2 = vec, twist, s.group.is_su2
     out = []
-    for k, p in zip(ks, _records(s, ks)):
-        n = _weight_count(p, vec, k, twist)
-        if above:
-            n -= _weight_count(p, above, k, twist)
+    for k, (lo, steps, spans, counts) in zip(ks, records):
+        i, off = divmod(x - k * c - lo[0], steps[0])
+        n = counts[i] if not off and 0 <= i < spans[0] else 0
+        if su2:
+            # mu + 2 sits 2 // step slots after mu; steps are 1 or 2
+            i += 2 // steps[0]
+            n -= counts[i] if not off and 0 <= i < spans[0] else 0
             if n < 0:
-                raise RuntimeError(f"su2 weight distribution not unimodal at mu={vec[0]}, k={k}: engine bug")
+                raise RuntimeError(f"su2 weight distribution not unimodal at mu={x}, k={k}: engine bug")
         out.append(n * dim)
     return out
 
@@ -316,14 +329,24 @@ def section_dimension(s: Scenario, k: int, mu) -> int:
     return section_dimensions(s, mu, (k,))[0]
 
 
-def full_weight_distribution(s: Scenario, k: int) -> dict:
-    """Complete isotypic decomposition at level k: mu -> multiplicity N(mu).
+def full_weight_distributions(s: Scenario, ks) -> list[dict]:
+    """Complete isotypic decompositions mu -> multiplicity N(mu), one dict
+    per level k of `ks`, in the order given; the levels not stored yet are
+    built in one ladder, as for :func:`section_dimensions`.
 
-    Conservation: sum over mu of dim(V_mu) * N(mu) equals
-    :func:`total_dimension`.
+    Conservation: at each level, the sum over mu of dim(V_mu) * N(mu)
+    equals :func:`total_dimension`.
     """
-    (p,) = _records(s, [k])
-    return dict(zip(*_multiplicities(p, k, s.twist_vec, s.group.is_su2)))
+    twist, su2 = s.twist_vec, s.group.is_su2
+    if iter(ks) is ks:  # a one-shot iterator; _records reads ks twice
+        ks = list(ks)
+    return [dict(zip(*_multiplicities(p, k, twist, su2))) for k, p in zip(ks, _records(s, ks))]
+
+
+def full_weight_distribution(s: Scenario, k: int) -> dict:
+    """Complete isotypic decomposition at level k: mu -> multiplicity N(mu),
+    the one-level case of :func:`full_weight_distributions`."""
+    return full_weight_distributions(s, (k,))[0]
 
 
 @dataclass

@@ -164,9 +164,10 @@ class Space:
     @cached_property
     def fit_store(self) -> dict:
         """The volume fits on this space, by (bundle, weight vector), as
-        ``volumes`` fits them: one weight's class polynomials each.  A fit
-        depends on the bundle and the weight alone, so it is made once for
-        every scenario on the space that reads it."""
+        ``volumes`` fits them: one weight's class polynomials each, and
+        once read, that weight's residue-class estimates.  A fit depends on
+        the bundle and the weight alone, so it is made once for every
+        scenario on the space that reads it."""
         return {}
 
     @cached_property

@@ -11,6 +11,12 @@ each suite name to its law and scope, so adding a suite is one entry
 there.  The continuity suite reads no corpus document: its one scenario
 is the whole P^2 bundle family, labelled ``p2_family``.
 
+Each law that reads a set of levels builds them first in one ladder, by
+one read of the zero weight at all of them (:func:`_build_levels`), and
+then reads them one by one from the space's store: the oracle law levels
+0..8, the vanishing law levels 1..12, and the exponent law every level
+its powers' semigroups read.
+
 A suite passes only if every record passes, and every record carries the
 data needed to re-run it in isolation.  An estimate that is not finite
 where a law needs a finite one fails the affected check with its status
@@ -26,6 +32,7 @@ from math import gcd
 
 from . import geometry
 from .counting import (
+    EngineLimit,
     brute_force_oracle,
     conservation_sides,
     full_weight_distribution,
@@ -120,9 +127,21 @@ def _estimate(est) -> str:
     return f"{render_rational(est.value)} [{est.status}]"
 
 
+def _build_levels(s, ks) -> None:
+    """Build the levels `ks` of `s` in one ladder, by one read of the zero
+    weight, so that a law's reads of those levels find them in the space's
+    store.  Past the budget nothing is built, and each later read meets the
+    limit where it would have without this call."""
+    try:
+        section_dimensions(s, s.zero_weight, ks)
+    except EngineLimit:
+        pass
+
+
 def _oracle(s):
     """Engine distribution == brute-force enumeration, plus conservation,
     at k = 0..8."""
+    _build_levels(s, range(0, 9))
     for k in range(0, 9):
         engine = full_weight_distribution(s, k)
         oracle = brute_force_oracle(s, k)
@@ -177,6 +196,7 @@ def _exponent_law(s):
     e = g_exponent(s).exponent
     if e is None:
         return
+    _build_levels(s, sorted({p * m for p in range(1, 13) for m in range(1, 13)}))
     for p in range(1, 13):
         got = g_exponent(scenario_power(s, p), 12).exponent
         want = e // gcd(p, e)
@@ -212,6 +232,7 @@ def _vanishing(s):
     unstable scenarios the counts vanish from the emitted bound up to
     k = 40."""
     report = geometry.classify_stability(s)
+    _build_levels(s, range(1, 13))
     bad = [
         (k, render_weight(mu))
         for k in range(1, 13)

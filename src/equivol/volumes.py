@@ -24,8 +24,12 @@ after the dominance check, and otherwise read the same class estimates.
 A fit reads one weight: its class polynomials depend on the space, the
 bundle and mu alone, so each is made once and kept on the space
 (``Space.fit_store``, by bundle and weight), where every scenario on that
-space reads it.  A stored fit is served also after CELL_BUDGET falls,
-and a fit that raises stores nothing.
+space reads it.  The entry also keeps the residue-class estimates read
+off the fit, once made, so a repeated ``equivariant_volume`` or
+``residue_volume`` call at that bundle and weight reads a stored list and
+redoes neither the vanishing certificate nor the exponent.  A stored fit
+is served also after CELL_BUDGET falls, and a fit that raises stores
+nothing.
 
 The volume vol_mu(L) = limsup (n-g)!/k^(n-g) dim H^0(M, L^k)_mu is the
 largest (n-g)! * (coefficient of k^(n-g)) over the classes; growth of
@@ -188,13 +192,23 @@ def _levels(s: Scenario, mu) -> list[list[int]]:
     return [[k0 + (r - k0) % period + j * period for j in range(width)] for r in range(period)]
 
 
-def _class_polys(s: Scenario, mu) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The fit at weight `mu`: cap = #columns - rank A and, for each class r
-    mod P, cap! P^cap times the polynomial that dim H^0(L^k)_mu equals on
-    k = r (mod P) past the start, interpolated from cap + 1 samples and
-    checked at one more.  Each fit is made once and kept, as tuples, in the
-    space's ``fit_store`` by (bundle, weight); a fit that raises stores
-    nothing."""
+@dataclass
+class _Fit:
+    """One weight's fit, as ``Space.fit_store`` keeps it: cap = #columns -
+    rank A; for each class r mod P, cap! P^cap times the polynomial that
+    dim H^0(L^k)_mu equals on k = r (mod P) past the start, as a tuple of
+    coefficients; and the residue-class estimates read off them, once
+    :func:`_residue_estimates` has made them (None until then)."""
+
+    cap: int
+    polys: tuple[tuple[int, ...], ...]
+    estimates: list[VolumeEstimate] | None = None
+
+
+def _fit(s: Scenario, mu) -> _Fit:
+    """The fit at weight `mu`, each class interpolated from cap + 1 samples
+    and checked at one more.  Each fit is made once and kept in the space's
+    ``fit_store`` by (bundle, weight); a fit that raises stores nothing."""
     store, key = s.space.fit_store, (s.bundle, s.weight_vec(mu))
     if key in store:
         return store[key]
@@ -211,22 +225,28 @@ def _class_polys(s: Scenario, mu) -> tuple[int, tuple[tuple[int, ...], ...]]:
                 f"no polynomial of degree <= {width - 2}: fitter bug"
             )
         polys.append(tuple(poly))
-    store[key] = width - 2, tuple(polys)
+    store[key] = _Fit(width - 2, tuple(polys))
     return store[key]
 
 
 def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
     """vol_mu restricted to each residue class f mod e_G(L), f in [0, e),
     for a dominant `mu`; a single zero estimate with no fit where the
-    counts at mu vanish for large k."""
+    counts at mu vanish for large k.  The list read off a fit is kept in
+    the fit's store entry, so a repeat at that bundle and weight reads it;
+    its estimates are frozen, and shared."""
     s.check_dominant(mu)
+    stored = s.space.fit_store.get((s.bundle, s.weight_vec(mu)))
+    if stored is not None and stored.estimates is not None:
+        return stored.estimates
     if geometry.vanishing_certificate(s, mu) is not None:
         return [_estimate(s, Fraction(0), ZERO)]
-    cap, polys = _class_polys(s, mu)  # cap! P^cap times each class's polynomial
+    fit = _fit(s, mu)
+    cap, polys = fit.cap, fit.polys  # cap! P^cap times each class's polynomial
     period = len(polys)
     # e: the gcd of P and the classes on which the invariant count is
     # eventually nonzero, read off the fit at the zero weight
-    e = gcd(period, *(r for r, p in enumerate(_class_polys(s, s.zero_weight)[1]) if p))
+    e = gcd(period, *(r for r, p in enumerate(_fit(s, s.zero_weight).polys) if p))
     D = s.growth_degree
     out = []
     for f in range(e):
@@ -235,13 +255,14 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
         # the least shift t | n under which the class polynomials repeat
         t = next(t for t in range(1, n + 1) if n % t == 0 and cls == cls[t:] + cls[:t])
         degree = max(len(p) for p in cls) - 1
-        fit = FitData(f, t * e, max(degree, 0), e)
+        data = FitData(f, t * e, max(degree, 0), e)
         if degree > D:
-            out.append(_estimate(s, None, INFINITE, fit))
+            out.append(_estimate(s, None, INFINITE, data))
             continue
         top = max(p[D] if len(p) > D else 0 for p in cls)
         value = Fraction(factorial(D) * top, factorial(cap) * period**cap)
-        out.append(_estimate(s, value, EXACT if value > 0 else ZERO, fit))
+        out.append(_estimate(s, value, EXACT if value > 0 else ZERO, data))
+    fit.estimates = out
     return out
 
 

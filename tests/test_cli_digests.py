@@ -10,8 +10,9 @@ The runs are in-process ``cli.main`` calls:
   it); levels whose top total dimension needs 3, 5 and 9 bytes a count;
   the SU(2) products ``P(Sym^1) x P(Sym^2)`` and ``(P^1)^3``; a circle of
   rank 3; SU(2) ``P(Sym^5)``; and a rank-2 document past the weight DP
-  budget.  Runs that exit 2 (geometry out of scope, an engine limit) are
-  gated too;
+  budget.  Every document but the slow ``width9_p25`` also runs
+  ``verify``, whose bytes pin the first error each suite meets.  Runs
+  that exit 2 (geometry out of scope, an engine limit) are gated too;
 * ``verify --format json``, and ``verify`` in text with each benchmark
   document under ``perfbench/docs/``.
 
@@ -48,13 +49,14 @@ PER_DOCUMENT = (
     "predict",
 )
 
-DEGENERATE = ("classify --mu-range=-4..4", "volume --mu-range=-2..2")
+DEGENERATE = ("classify --mu-range=-4..4", "volume --mu-range=-2..2", "verify")
 SU2_PRODUCT = (
     "table --k-max 6",
     "multiplicity --k 7 --all-mu",
     "exponent",
     "classify",
     "volume --mu-range=0..2",
+    "verify",
 )
 
 
@@ -68,14 +70,14 @@ DOCUMENT_RUNS = {
     "point": DEGENERATE,
     "segment_through_zero": DEGENERATE,
     "vertical_segment": DEGENERATE,
-    "width3_p5": _level_runs(30),  # top total 324,632
-    "width5_p11": _level_runs(40),  # top total 47,626,016,970
-    "width9_p25": _level_runs(60),  # top total about 2.2e21
+    "width3_p5": (*_level_runs(30), "verify"),  # top total 324,632
+    "width5_p11": (*_level_runs(40), "verify"),  # top total 47,626,016,970
+    "width9_p25": _level_runs(60),  # top total about 2.2e21; its verify takes seconds
     "su2_sym1_x_sym2": SU2_PRODUCT,
     "su2_p1_cubed": SU2_PRODUCT,
-    "circle_rank3_p4": ("table --k-max 4", "multiplicity --k 3 --all-mu", "exponent", "volume --mu=0,0,0"),
-    "su2_sym5": ("volume --mu-range=0..2", "table --k-max 8"),
-    "rank2_p1p2_engine_limit": ("volume --mu=-1,0",),
+    "circle_rank3_p4": ("table --k-max 4", "multiplicity --k 3 --all-mu", "exponent", "volume --mu=0,0,0", "verify"),
+    "su2_sym5": ("volume --mu-range=0..2", "table --k-max 8", "verify"),
+    "rank2_p1p2_engine_limit": ("volume --mu=-1,0", "verify"),
 }
 
 

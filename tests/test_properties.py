@@ -1,7 +1,8 @@
 """Property tests: the packed counting engine, read one weight at many
 levels per call, against the brute-force oracle on random small scenarios
 of every torus rank, with negative weights,
-constant coordinates and twists; levels built together in one ladder
+constant coordinates and twists; rank-1 point reads against the full
+distributions of their levels; levels built together in one ladder
 against levels built alone; the table's CSV against ``csv.DictWriter``
 over each level's distribution; the closed-form Duistermaat-Heckman
 volume against invariant counts on random regular P^2 scenarios and
@@ -37,6 +38,7 @@ from equivol import (
     dh_slice_volume,
     equivariant_volume,
     full_weight_distribution,
+    full_weight_distributions,
     g_exponent,
     generic_stabilizer,
     isotypic_table,
@@ -203,6 +205,46 @@ def test_su2_engine_matches_oracle(s, data):
 @given(stepped_scenarios(), st.data())
 def test_stepped_engine_matches_oracle(s, data):
     check_engine(s, data)
+
+
+@st.composite
+def stepped_rank1_scenarios(draw):
+    """Circle rank-1 scenarios with the weights scaled by a step of 1 to 3
+    and the twist left unscaled, so that some weights are off the step
+    lattice."""
+    s = draw(rank1_scenarios())
+    g = draw(st.integers(1, 3))
+    factors = [[w * g for (w,) in ws] for ws in s.space.torus_weights]
+    return circle_scenario(factors, s.bundle.degrees, twist=s.bundle.twist)
+
+
+@pytest.mark.parametrize("kind", ["circle", "su2"])
+@SETTINGS
+@given(data=st.data())
+def test_rank1_point_reads_match_full_distributions(kind, data):
+    # at torus rank 1 a point read finds its slot with one divmod, and for
+    # SU(2) the slot of mu + 2 one or two slots on.  It must agree with the
+    # level's full distribution at every weight of a box wider than the
+    # support on both sides: weights off the step lattice, outside the
+    # support and, for SU(2), the top weight, whose mu + 2 lies past the
+    # span.  The levels are unsorted, with a repeat, and circle bundles
+    # are twisted
+    s = data.draw(stepped_rank1_scenarios() if kind == "circle" else su2_scenarios())
+    ks = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    ks = data.draw(st.permutations(ks + ks[:1]))
+    dists = full_weight_distributions(validate_scenario(s), ks)
+    assert dists == [full_weight_distribution(validate_scenario(s), k) for k in ks]
+    # no level reaches a weight past `reach`
+    (c,), degrees = s.twist_vec, s.bundle.degrees
+    reach = max(ks) * (abs(c) + sum(d * max(abs(w) for (w,) in ws) for ws, d in zip(s.space.torus_weights, degrees)))
+    mus = range(0 if s.group.is_su2 else -reach - 3, reach + 4)
+    if s.group.is_su2:
+        tops = [max(dist) for dist in dists if dist]
+        assert all(top + 2 in mus and dist.get(top + 2, 0) == 0 for top, dist in zip(tops, dists))
+    fresh = validate_scenario(s)
+    for mu in mus:
+        expect = [dist.get(mu, 0) * s.dim_irrep(mu) for dist in dists]
+        assert section_dimensions(fresh, mu, ks) == expect, (ks, mu)
 
 
 # the table reads every level from one ladder with slots sized at k_max;

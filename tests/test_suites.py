@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import equivol
-from equivol import su2_scenario, suites
+from equivol import counting, su2_scenario, suites
 from equivol.suites import SUITE_NAMES, run_suite
 
 
@@ -160,6 +160,60 @@ def test_oracle_records_broken_conservation(monkeypatch, p1_hyperplane):
     bad = [r for r in rep.records if not r.passed]
     assert [r.claim for r in bad] == [f"conservation at k={k}" for k in range(1, 9)]
     assert (bad[0].lhs, bad[0].rhs) == ("1", "2")
+
+
+def count_ladders(monkeypatch) -> list:
+    """Record the number of levels of every ladder that is run."""
+    ladders = []
+    true_ladder = counting._ladder
+
+    def counted(layout, top, ladder):
+        ladder = list(ladder)
+        ladders.append(len(ladder))
+        return true_ladder(layout, top, ladder)
+
+    monkeypatch.setattr(counting, "_ladder", counted)
+    return ladders
+
+
+# the most ladders a law may run on one freshly parsed document: the oracle
+# law builds its levels 0..8 in one, the vanishing law its levels 1..12 in
+# one and, on an unstable-everywhere document, the range up to k = 40 in a
+# second; the exponent law reads levels 1..60 and then the powers' levels
+LADDERS_PER_DOCUMENT = {"oracle": 1, "vanishing": 2, "exponent_law": 2}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS_PER_DOCUMENT))
+def test_each_law_reads_its_levels_in_few_ladders(monkeypatch, name):
+    ladders = count_ladders(monkeypatch)
+    per_document = {}
+    for label, s in equivol.default_corpus():  # freshly parsed: empty stores
+        ladders.clear()
+        assert run_suite(name, [(label, s)]).passed
+        per_document[label] = len(ladders)
+    cap = LADDERS_PER_DOCUMENT[name]
+    assert max(per_document.values()) <= cap, per_document
+    if name == "oracle":
+        assert set(per_document.values()) == {1}, per_document
+
+
+def test_a_law_meets_the_budget_at_its_first_level_past_it(monkeypatch):
+    # the levels a law reads are built in one ladder; past the budget the
+    # law meets the limit at the first level over it, as a read of one
+    # level at a time does, not at its top level
+    s = su2_scenario([[3]], [2])
+    monkeypatch.setattr(counting, "CELL_BUDGET", 400)
+    first = None
+    for k in range(0, 9):
+        try:
+            equivol.full_weight_distribution(equivol.validate_scenario(s), k)
+        except equivol.EngineLimit as exc:
+            first = str(exc)
+            break
+    assert first is not None and k < 8
+    with pytest.raises(equivol.EngineLimit) as got:
+        run_suite("oracle", [("doc", equivol.validate_scenario(s))])
+    assert str(got.value) == first
 
 
 def test_verify_under_optimized_python():

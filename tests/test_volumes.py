@@ -357,6 +357,25 @@ def test_fit_store_follows_the_budget_rules(monkeypatch):
     assert fits == []
 
 
+def test_a_repeat_reads_the_stored_estimates(monkeypatch):
+    # p2_skew has e = 1 at mu = 1 and p1_square has e = 2: a repeat at a
+    # stored bundle and weight makes no fit, reads no level and returns the
+    # very estimates of the first call
+    for name, mu in (("p2_skew", 1), ("p1_square", 0), ("p1_square", 1)):
+        s = validate_scenario(corpus_scenario(name))  # a space of its own
+        first = equivariant_volume(s, mu)
+        classes = [residue_volume(s, mu, f) for f in range(4)]
+        fits, reads = count_fits(monkeypatch), []
+        records = counting._records
+        monkeypatch.setattr(counting, "_records", lambda s, ks: reads.append(ks) or records(s, ks))
+        assert equivariant_volume(s, mu) is first
+        assert equivariant_volume(scenario_power(s, 1), mu) == first
+        again = [residue_volume(s, mu, f) for f in range(4)]
+        assert again == classes and all(a is b for a, b in zip(again, classes))
+        assert (fits, reads) == ([], []), name
+        monkeypatch.undo()
+
+
 def test_fit_classes_at_the_zero_weight_give_the_exponent(corpus):
     # two routes to e_G(L): the exponent the fit at the zero weight reads
     # off its classes, and the gcd of the invariant semigroup read up to
