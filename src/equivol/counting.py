@@ -6,10 +6,13 @@ Two independent routes are implemented:
   ints (Kronecker substitution) and lets big-int arithmetic do the exact
   counting; SU(2) isotypic multiplicities are read off as m(mu) - m(mu+2)
   from the torus weight counts;
-* :func:`brute_force_oracle` re-derives the same numbers by enumerating
-  every monomial basis element, and for SU(2) by computing the kernel
-  dimension of the raising operator on each weight space by exact sparse
-  Gaussian elimination.
+* :func:`brute_force_oracle` re-derives the same numbers by listing every
+  monomial basis element once, with ``itertools`` iterators (each factor's
+  monomials as multisets of its coordinates, the product's as tuples of
+  those), and for SU(2) by computing the kernel dimension of the raising
+  operator on each weight space mu >= 0 by exact sparse Gaussian
+  elimination.  It shares nothing with the packing, the ladder or the
+  level store.
 
 The packed representation.  At level k, factor j contributes the
 complete homogeneous polynomial h_{k d_j} in its coordinates' weight
@@ -73,10 +76,14 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress, product, repeat
+from functools import reduce
+from itertools import chain, combinations_with_replacement, compress, groupby, product, repeat, starmap
 from math import comb, gcd, prod
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .model import Scenario, ScenarioError, WeightLayout
@@ -395,26 +402,21 @@ def isotypic_table(s: Scenario, k_max: int) -> IsotypicTable:
 # brute-force oracle
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def brute_force_oracle(s: Scenario, k: int) -> dict:
     """Recompute :func:`full_weight_distribution` by explicit enumeration.
 
-    Circle powers: every monomial is listed and its weight summed directly.
-    SU(2): the raising-operator matrix is built on each torus weight space
-    and the multiplicity of V_mu is the exact kernel dimension
-    dim W_mu - rank(E|_{W_mu}).
+    A degree-m monomial of a factor is a multiset of m of its coordinates,
+    so ``itertools.combinations_with_replacement`` lists each factor's
+    monomials and ``itertools.product`` lists the basis of H^0(M, L^k),
+    every one of its :func:`total_dimension` monomials exactly once.
+    Circle powers: each monomial's weight is summed directly and the
+    weights are counted.  SU(2): the raising-operator matrix is built on
+    each torus weight space mu >= 0 and the multiplicity of V_mu is the
+    exact kernel dimension dim W_mu - rank(E|_{W_mu}).
 
     Only feasible for small total dimension (at most ORACLE_BUDGET basis
-    monomials); meant as an independent check of the packed counting engine.
+    monomials, checked before any is listed); meant as an independent
+    check of the packed counting engine.
     """
     total = total_dimension(s, k)
     if total > ORACLE_BUDGET:
@@ -422,81 +424,88 @@ def brute_force_oracle(s: Scenario, k: int) -> dict:
     if s.group.is_su2:
         return _su2_oracle(s, k)
 
-    r = s.group.torus_rank
-    shift = tuple(k * c for c in s.bundle.twist)
-    factor_weight_lists = []
-    for f, ws, d in zip(s.factors, s.space.torus_weights, s.bundle.degrees):
-        lst = []
-        for alpha in _compositions(k * d, f.dim + 1):
-            lst.append(tuple(sum(a * w[i] for a, w in zip(alpha, ws)) for i in range(r)))
-        factor_weight_lists.append(lst)
+    pairs = zip(s.space.torus_weights, _level_degrees(s, k))
+    shift = [k * c for c in s.twist_vec]
+    if s.group.torus_rank == 1:
+        plus, shift = add, shift[0]
+        factor_weights = [map(sum, combinations_with_replacement([w for (w,) in ws], m)) for ws, m in pairs]
+    else:
+        # a monomial's weight vector is summed coordinate by coordinate, from zero
+        plus, shift, zero = _add_vectors, tuple(shift), ((0,) * len(shift),)
+        factor_weights = [
+            map(_vector_sum, map(zero.__add__, combinations_with_replacement(ws, m))) for ws, m in pairs
+        ]
+    # one weight per basis monomial of the product, less the twist
+    counts = Counter(_combine(factor_weights, plus))
+    return {s.weight_key(plus(x, shift)): n for x, n in counts.items()}
 
-    counts: dict = {}
-    stack = [shift]
-    for lst in factor_weight_lists:
-        stack = [tuple(a + b for a, b in zip(x, w)) for x in stack for w in lst]
-    for x in stack:
-        counts[x] = counts.get(x, 0) + 1
-    return {s.weight_key(x): c for x, c in counts.items()}
+
+def _combine(factor_items, plus=add):
+    """One item per element of the product of the factors' items, folded
+    with `plus`: a product monomial, or its weight, from its factors'."""
+    return reduce(lambda xs, ys: starmap(plus, product(xs, ys)), factor_items)
+
+
+def _vector_sum(vectors) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*vectors)))
+
+
+def _add_vectors(u, v) -> tuple[int, ...]:
+    return tuple(map(add, u, v))
 
 
 def _su2_oracle(s: Scenario, k: int) -> dict:
-    # basis of W per factor: coordinate (block i, a) = e+^a e-^(m_i - a),
-    # torus weight 2a - m_i; the raising operator acts as the derivation
+    # coordinate (i, a) of a factor's block i = Sym^(m_i) is e+^a e-^(m_i - a),
+    # of torus weight 2a - m_i; coordinates are numbered factor by factor and
+    # (i, a+1) comes right after (i, a).  A monomial is the sorted tuple of
+    # its coordinates' numbers.  The raising operator acts as the derivation
     # E . (i, a) = (m_i - a) * (i, a+1).
-    factor_coords = []
-    for f in s.factors:
-        coords = []
-        for i, m in enumerate(f.sym_powers):
-            coords.extend((i, a, m) for a in range(m + 1))
-        factor_coords.append(coords)
-
-    monos = [()]
-    for coords, d in zip(factor_coords, s.bundle.degrees):
-        block = list(_compositions(k * d, len(coords)))
-        monos = [m + b for m in monos for b in block]
-
-    all_coords = [c for coords in factor_coords for c in coords]
-    weight_of = [2 * a - m for (_, a, m) in all_coords]
-    raise_to = {}
-    for idx, (i, a, m) in enumerate(all_coords):
-        if a < m:
-            raise_to[idx] = (idx + 1, m - a)  # (i, a+1) sits next in the listing
-
-    by_weight: dict[int, list] = {}
-    index_in_space: dict = {}
-    for mono in monos:
-        w = sum(b * weight_of[i] for i, b in enumerate(mono))
-        sp = by_weight.setdefault(w, [])
-        index_in_space[mono] = len(sp)
-        sp.append(mono)
+    weight, lift, factor_monos, factor_weights = [], [], [], []
+    for f, m in zip(s.factors, _level_degrees(s, k)):
+        first = len(weight)
+        for p in f.sym_powers:
+            weight.extend(range(-p, p + 1, 2))
+            lift.extend(range(p, -1, -1))
+        factor_monos.append(combinations_with_replacement(range(first, len(weight)), m))
+        factor_weights.append(map(sum, combinations_with_replacement(weight[first:], m)))
+    # every monomial is listed; those of weight mu >= 0 are kept, and their
+    # weight spaces are runs of them sorted by weight
+    weights = list(_combine(factor_weights))
+    kept = list(map((0).__le__, weights))
+    monos, weights = list(compress(_combine(factor_monos), kept)), list(compress(weights, kept))
+    spaces: dict[int, list] = {}
+    for w, run in groupby(sorted(range(len(weights)), key=weights.__getitem__), weights.__getitem__):
+        spaces[w] = list(map(monos.__getitem__, run))
+    # E maps W_mu into W_(mu+2), so only the spaces mu >= 2 are targets
+    targets = {w: dict(zip(sp, range(len(sp)))) for w, sp in spaces.items() if w >= 2}
 
     out = {}
-    top = max(by_weight) if by_weight else 0
-    for mu in range(0, top + 1):
-        dim_mu = len(by_weight.get(mu, []))
-        if dim_mu == 0:
-            continue
-        rows: dict[int, dict[int, int]] = {}
-        for col, mono in enumerate(by_weight[mu]):
-            for idx, b in enumerate(mono):
-                if b and idx in raise_to:
-                    tgt, coeff = raise_to[idx]
-                    image = list(mono)
-                    image[idx] -= 1
-                    image[tgt] += 1
-                    row = index_in_space[tuple(image)]
-                    r = rows.setdefault(row, {})
-                    r[col] = r.get(col, 0) + b * coeff
-        n = dim_mu - _sparse_rank(list(rows.values()))
+    for mu, space in spaces.items():
+        target = targets.get(mu + 2)
+        n = len(space) - (_sparse_rank(_raised(space, target, lift)) if target else 0)
         if n < 0:
-            raise RuntimeError(f"raising operator has rank above dim W_{mu} = {dim_mu}: oracle bug")
+            raise RuntimeError(f"raising operator has rank above dim W_{mu} = {len(space)}: oracle bug")
         if n:
             out[mu] = n
     return out
 
 
-def _sparse_rank(rows: list[dict[int, int]]) -> int:
+def _raised(space: list, target: dict, lift: list):
+    """The image under E of each monomial of `space`: a dict of its
+    monomials' indices in `target` -> their coefficients.  E raises one
+    coordinate (i, a), numbered c, at a time: its last occurrence becomes
+    c + 1 = (i, a+1), so the tuple stays sorted, with coefficient the
+    multiplicity of c times m_i - a = ``lift[c]``."""
+    for mono in space:
+        image = {}
+        for c in set(mono):
+            if lift[c]:
+                end = bisect_right(mono, c)
+                image[target[mono[: end - 1] + (c + 1,) + mono[end:]]] = lift[c] * mono.count(c)
+        yield image
+
+
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
     """Exact rank over Q of a sparse integer matrix given as row dicts."""
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
@@ -505,9 +514,7 @@ def _sparse_rank(rows: list[dict[int, int]]) -> int:
         while row:
             c = min(row)
             if c not in pivots:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
+                g = gcd(*row.values())
                 if g > 1:
                     row = {j: v // g for j, v in row.items()}
                 pivots[c] = row

@@ -10,8 +10,8 @@ The runs are in-process ``cli.main`` calls:
   it); levels whose top total dimension needs 3, 5 and 9 bytes a count;
   the SU(2) products ``P(Sym^1) x P(Sym^2)`` and ``(P^1)^3``; a circle of
   rank 3; SU(2) ``P(Sym^5)``; and a rank-2 document past the weight DP
-  budget.  Every document but the slow ``width9_p25`` also runs
-  ``verify``, whose bytes pin the first error each suite meets.  Runs
+  budget.  Every document also runs ``verify``, whose bytes pin the
+  first error each suite meets.  Runs
   that exit 2 (geometry out of scope, an engine limit) are gated too;
 * ``verify --format json``, and ``verify`` in text with each benchmark
   document under ``perfbench/docs/``.
@@ -72,7 +72,7 @@ DOCUMENT_RUNS = {
     "vertical_segment": DEGENERATE,
     "width3_p5": (*_level_runs(30), "verify"),  # top total 324,632
     "width5_p11": (*_level_runs(40), "verify"),  # top total 47,626,016,970
-    "width9_p25": _level_runs(60),  # top total about 2.2e21; its verify takes seconds
+    "width9_p25": (*_level_runs(60), "verify"),  # top total about 2.2e21
     "su2_sym1_x_sym2": SU2_PRODUCT,
     "su2_p1_cubed": SU2_PRODUCT,
     "circle_rank3_p4": ("table --k-max 4", "multiplicity --k 3 --all-mu", "exponent", "volume --mu=0,0,0", "verify"),

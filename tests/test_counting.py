@@ -391,9 +391,33 @@ def test_oracle_budget_guard(p2_circle, corpus, monkeypatch):
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(counting, "_compositions", no_enumeration)
+    monkeypatch.setattr(counting, "combinations_with_replacement", no_enumeration)
     with pytest.raises(EngineLimit, match="oracle enumeration needs 1373701 monomials > budget 1000000"):
         brute_force_oracle(dict(corpus)["p3_balanced"], 200)
+
+
+def test_oracle_matches_closed_forms_with_the_engine_off(p2_circle, p1p1_diag, monkeypatch):
+    # no packed code can run: the oracle alone must give each closed form
+    def engine_off(*args):
+        raise AssertionError("the packed engine ran")
+
+    for name in ("_ladder", "_factor_rows", "_records"):
+        monkeypatch.setattr(counting, name, engine_off)
+    su2_p1, sym2 = su2_scenario([[1]], [1]), su2_scenario([[2]], [1])
+    for k in range(9):
+        # P^2 with weights (-1, 1, 1): x0^a of weight k - 2a times the
+        # (k + mu)/2 + 1 monomials of degree k - a in x1, x2
+        assert brute_force_oracle(p2_circle, k) == {mu: (k + mu) // 2 + 1 for mu in range(-k, k + 1, 2)}
+        # P^1 x P^1 with weights (+-1, 0), (0, +-1): one monomial per weight
+        # of each factor's weights -k, -k + 2, ..., k
+        assert brute_force_oracle(p1p1_diag, k) == dict.fromkeys(product(range(-k, k + 1, 2), repeat=2), 1)
+        # H^0(P(V), O(k)) = Sym^k V = V_k
+        assert brute_force_oracle(su2_p1, k) == {k: 1}
+        # Sym^k(Sym^2 V) = V_2k + V_(2k-4) + ..., down to V_0 or V_2
+        assert brute_force_oracle(sym2, k) == dict.fromkeys(range(2 * k, -1, -4), 1)
+        for s in (p2_circle, p1p1_diag, su2_p1, sym2):
+            lhs, rhs = conservation_sides(s, k, brute_force_oracle(s, k))
+            assert lhs == rhs, (s, k)
 
 
 def test_one_cell_budget(p2_circle, p1p1_diag, monkeypatch):
