@@ -88,12 +88,16 @@ def _weights(args, s: Scenario):
 
 
 def _write(text: str, path) -> None:
-    """tables.emit, with a path that cannot be written as an input error."""
+    """Write `text` to stdout, or to the --out `path` when one is given.
+    A failing stdout raises as it is; a path that cannot be written is an
+    input error."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
-        tables.emit(text, path)
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
-        if path is None:  # stdout itself failed: not a bad flag
-            raise
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
@@ -167,7 +171,7 @@ def cmd_classify(args) -> int:
         lines.append(f"invariant_factors: {','.join(map(str, stab.invariant_factors))}")
     else:
         lines.append("generic_stabilizer_order: infinite")
-    if rep.stability == "unstable_everywhere":
+    if rep.stability == geometry.UNSTABLE:
         lines.append("vanishing_bounds:")
         for mu in mus:
             r = geometry.vanishing_certificate(s, mu)
@@ -181,7 +185,7 @@ def cmd_predict(args) -> int:
     s = load_scenario(args.scenario)
     mus = _weights(args, s)
     rep = geometry.classify_stability(s)
-    if rep.stability != "regular":
+    if rep.stability != geometry.REGULAR:
         raise InputError(f"prediction is defined for regular scenarios, got {rep.stability}")
     vol0 = equivariant_volume(s, s.zero_weight)
     if not vol0.finite:

@@ -309,7 +309,6 @@ def numerically_compatible(s: Scenario, mu) -> CompatibilityCertificate:
     if not stab.finite:
         raise UnsupportedScenario("compatibility undefined for infinite generic stabilizers")
     b0 = (0,) * len(s.factors) + s.weight_vec(mu)
-    s.check_dominant(mu)
     lat = s.space.column_lattice
     witness = next(
         (r for r in range(1, stab.order + 1) if lat.spans(tuple(r * x + y for x, y in zip(s.ray, b0)))), None
@@ -379,9 +378,7 @@ def vanishing_certificate(s: Scenario, mu) -> int | None:
     range: ``volumes`` calls a weight eventually zero exactly when it is
     not None."""
     img = classify_stability(s).moment_image
-    mu_vec = s.weight_vec(mu)
-    s.check_dominant(mu)
-    r_min, r_max = img.scale_range(mu_vec)
+    r_min, r_max = img.scale_range(s.weight_vec(mu))
     if r_min is None:
         return 1
     return None if r_max is None else r_max + 1

@@ -221,16 +221,23 @@ class Scenario:
         return vec[0] if len(vec) == 1 else vec
 
     def weight_vec(self, mu) -> tuple[int, ...]:
-        """Internal vector form of a dominant weight ``mu``."""
-        r = self.group.torus_rank
+        """Internal vector form of a public weight ``mu``: an int at torus
+        rank 1, else a sequence of length torus rank.  Every public entry
+        point that takes a weight parses and checks it here, once: its
+        length, and for su2 that it is a highest weight, mu >= 0."""
+        group = self.space.group
+        r = group.torus_rank
         if isinstance(mu, int):
             if r != 1:
                 raise ScenarioError(f"weight {mu!r} must be a vector of length {r}")
-            return (mu,)
-        mu = tuple(int(x) for x in mu)
-        if len(mu) != r:
-            raise ScenarioError(f"weight {mu!r} must have length {r}")
-        return mu
+            vec = (mu,)
+        else:
+            vec = tuple(int(x) for x in mu)
+            if len(vec) != r:
+                raise ScenarioError(f"weight {vec!r} must have length {r}")
+        if vec[0] < 0 and group.is_su2:  # a nonnegative weight pays one comparison
+            raise ScenarioError("su2 highest weights must be >= 0")
+        return vec
 
     @property
     def twist_vec(self) -> tuple[int, ...]:
@@ -246,20 +253,16 @@ class Scenario:
         ``column_lattice``."""
         return self.bundle.degrees + tuple(-c for c in self.twist_vec)
 
-    def check_dominant(self, mu) -> None:
-        if self.group.is_su2 and self.weight_vec(mu)[0] < 0:
-            raise ScenarioError("su2 highest weights must be >= 0")
-
     @property
     def zero_weight(self):
         """The trivial weight, where the invariant sections live."""
         return self.weight_key((0,) * self.group.torus_rank)
 
     def dim_irrep(self, mu) -> int:
-        """dim V_mu: 1 for circle powers, mu+1 for su2."""
-        if not self.group.is_su2:
+        """dim V_mu: 1 for circle powers, mu+1 for su2, with the su2
+        weight parsed and checked by :meth:`weight_vec`."""
+        if not self.space.group.is_su2:
             return 1
-        self.check_dominant(mu)
         return self.weight_vec(mu)[0] + 1
 
     def weights_in_box(self, lo: int, hi: int) -> list:

@@ -41,7 +41,7 @@ from .counting import (
 )
 from .model import LinearizedBundle, Scenario, circle_scenario, scenario_power, tensor_product, with_bundle
 from .tables import render_rational, render_weight
-from .volumes import equivariant_volume, g_exponent, g_semigroup, mu_semigroup
+from .volumes import INFINITE, equivariant_volume, g_exponent, g_semigroup, mu_semigroup
 
 
 @dataclass
@@ -116,7 +116,7 @@ def _supported(s) -> bool:
 
 def _regular(s) -> bool:
     """Covered by the geometry and of stability class regular."""
-    return geometry.supported(s) and geometry.classify_stability(s).stability == "regular"
+    return geometry.supported(s) and geometry.classify_stability(s).stability == geometry.REGULAR
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def _vanishing(s):
     ]
     claim = "support of H^0(L^k) inside k * moment image, k <= 12"
     yield claim, f"{len(bad)} escapes", "0 escapes", not bad, {"escapes": bad[:5]}
-    if report.stability != "unstable_everywhere":
+    if report.stability != geometry.UNSTABLE:
         return
     for mu in s.default_mus():
         r = geometry.vanishing_certificate(s, mu)
@@ -274,10 +274,10 @@ def _monotonicity(s):
     for mu in s.default_mus(3):
         lo = equivariant_volume(s, mu)
         hi = equivariant_volume(bigger, mu)
-        if lo.status == "infinite":
-            ok = hi.status == "infinite"
+        if lo.status == INFINITE:
+            ok = hi.status == INFINITE
         else:
-            ok = lo.finite and (hi.status == "infinite" or (hi.finite and lo.value <= hi.value))
+            ok = lo.finite and (hi.status == INFINITE or (hi.finite and lo.value <= hi.value))
         yield (
             f"vol_mu(H) <= vol_mu(H (x) A), mu={render_weight(mu)}",
             _estimate(lo),

@@ -4,12 +4,14 @@ Identical inputs produce byte-identical files: rows keep the
 lexicographic (k, weight vector) order their callers pass them in (the
 emitters do not sort), rationals render as ``p/q`` in lowest terms (plain
 integer string when integral), and JSON is emitted with sorted keys and a
-fixed separator convention.  Every row emitter yields tuples in the order
-of its header; CSV writes them as they are, and JSON zips each with the
-header into an object.  :func:`multiplicity_rows` streams its rows level
-by level from the levels' own lists, so a table is never copied into a
-list of rows, and each reader reads them once; its CSV is written a level
-at a time from those lists, with no row tuple built.
+fixed separator convention.  A JSON payload holds only values that
+``json`` writes natively: rationals and weights arrive rendered as
+strings.  Every row emitter yields tuples in the order of its header; CSV
+writes them as they are, and JSON zips each with the header into an
+object.  :func:`multiplicity_rows` streams its rows level by level from
+the levels' own lists, so a table is never copied into a list of rows,
+and each reader reads them once; its CSV is written a level at a time
+from those lists, with no row tuple built.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
@@ -109,21 +110,4 @@ def to_csv(rows, fieldnames) -> str:
 
 
 def to_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n"
-
-
-def _encode(obj):
-    if isinstance(obj, Fraction):
-        return render_rational(obj)
-    if isinstance(obj, frozenset):
-        return sorted(obj)
-    raise TypeError(f"not JSON-serializable: {obj!r}")
-
-
-def emit(text: str, destination=None) -> None:
-    """Write to a path, or to stdout when destination is None."""
-    if destination is None:
-        sys.stdout.write(text)
-        return
-    with open(destination, "w") as fh:
-        fh.write(text)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

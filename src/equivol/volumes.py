@@ -235,7 +235,6 @@ def _residue_estimates(s: Scenario, mu) -> list[VolumeEstimate]:
     counts at mu vanish for large k.  The list read off a fit is kept in
     the fit's store entry, so a repeat at that bundle and weight reads it;
     its estimates are frozen, and shared."""
-    s.check_dominant(mu)
     stored = s.space.fit_store.get((s.bundle, s.weight_vec(mu)))
     if stored is not None and stored.estimates is not None:
         return stored.estimates

@@ -187,6 +187,10 @@ def test_mu_required(capsys):
     "argv, cause",
     [
         (["classify", "--scenario", "NOT_JSON"], "is not valid JSON: line 1"),
+        (["classify", "--scenario", "LIST_DOC"], "scenario document must be an object"),
+        (["multiplicity", "--scenario", str(scenario_path("p1p1_diag")), "--k", "1", "--mu", "1,2,3"],
+         "weight (1, 2, 3) must have length 2"),
+        (["exponent", "--scenario", P2, "--m-max", "0"], "m_max must be >= 1"),
         (["multiplicity", "--scenario", P2, "--k", "1", "--mu", "1,x"], "cannot parse weight '1,x'"),
         (["volume", "--scenario", P1, "--mu-range", "3..1"], "empty range '3..1'"),
         (["volume", "--scenario", P1, "--mu-range", "1-3"], "cannot parse range '1-3'"),
@@ -216,8 +220,9 @@ def test_mu_required(capsys):
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
-    docs = {"NOT_JSON": tmp_path / "not.json", "SU2_PRODUCT": tmp_path / "su2_product.json"}
+    docs = {name: tmp_path / f"{name.lower()}.json" for name in ("NOT_JSON", "LIST_DOC", "SU2_PRODUCT")}
     docs["NOT_JSON"].write_text('{"group": "circle_power", "g": 1,')
+    docs["LIST_DOC"].write_text("[]")
     docs["SU2_PRODUCT"].write_text(json.dumps(SU2_PRODUCT))
     argv = [str(docs[a]) if a in docs else a for a in argv]
     assert_one_error_line(*run(capsys, *argv), cause)
@@ -347,6 +352,8 @@ def _with(base, path, value):
         (_with(BASE, ("factors", 0, "weights"), [1, 0.5, -1]), "factors[0].weights"),
         (_with(BASE, ("bundle", "degrees"), 1), "bundle.degrees"),
         (_with(BASE, ("g",), True), "g"),
+        (_with(BASE, ("group",), "u1"), "group"),
+        (_with(BASE, ("factors", 0), {"weights": [1, 0, -1]}), "dim"),
         (_with(BASE, ("bundle", "degrees"), "1"), "bundle.degrees"),
         (_with(BASE, ("bundle", "degrees"), [True]), "bundle.degrees"),
         (_with(SU2_BASE, ("factors", 0, "sym_powers"), "3"), "factors[0].sym_powers"),

@@ -1,6 +1,7 @@
 """Core model: validation, bundle algebra, the weight sign convention."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -8,17 +9,26 @@ from equivol import (
     LinearizedBundle,
     ScenarioError,
     circle_scenario,
+    equivariant_volume,
     full_weight_distribution,
+    mu_semigroup,
+    numerically_compatible,
+    predicted_volume,
+    residue_volume,
     scenario_from_dict,
     scenario_power,
     scenario_to_dict,
+    scenario_path,
     section_dimension,
+    section_dimensions,
     su2_scenario,
     tensor_power,
     tensor_product,
     validate_scenario,
+    vanishing_certificate,
     with_bundle,
 )
+from equivol.cli import main
 
 
 def test_valid_p1(p1_hyperplane):
@@ -235,6 +245,39 @@ def test_weights_in_box(p1_hyperplane, p1p1_diag, su2_p3):
     # su2 highest weights start at 0
     assert su2_p3.weights_in_box(-3, 2) == [0, 1, 2]
     assert su2_p3.weights_in_box(-3, -1) == []
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda s: s.weight_vec(-1),
+        lambda s: s.dim_irrep(-1),
+        lambda s: section_dimension(s, 2, -1),
+        lambda s: section_dimensions(s, -1, [1, 2]),
+        lambda s: mu_semigroup(s, -1, 4),
+        lambda s: equivariant_volume(s, -1),
+        lambda s: residue_volume(s, -1, 0),
+        lambda s: vanishing_certificate(s, -1),
+        lambda s: numerically_compatible(s, -1),
+        lambda s: predicted_volume(s, -1, Fraction(1)),
+        ["volume", "--mu", "-1"],
+        ["multiplicity", "--k", "2", "--mu", "-1"],
+    ],
+    ids=[
+        "weight_vec", "dim_irrep", "section_dimension", "section_dimensions", "mu_semigroup",
+        "equivariant_volume", "residue_volume", "vanishing_certificate", "numerically_compatible",
+        "predicted_volume", "cli-volume", "cli-multiplicity",
+    ],
+)
+def test_every_weight_entry_point_rejects_negative_su2_weights(su2_p3, capsys, read):
+    message = "su2 highest weights must be >= 0"
+    if isinstance(read, list):  # a command line: exit 2 with the one error line
+        code = main([read[0], "--scenario", str(scenario_path("su2_p3")), *read[1:]])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (2, "", f"error: {message}\n")
+        return
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        read(su2_p3)
 
 
 def test_default_mus(p1_hyperplane, p1p1_diag, su2_p3):
