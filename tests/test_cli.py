@@ -187,10 +187,6 @@ def test_mu_required(capsys):
     "argv, cause",
     [
         (["classify", "--scenario", "NOT_JSON"], "is not valid JSON: line 1"),
-        (["classify", "--scenario", "LIST_DOC"], "scenario document must be an object"),
-        (["multiplicity", "--scenario", str(scenario_path("p1p1_diag")), "--k", "1", "--mu", "1,2,3"],
-         "weight (1, 2, 3) must have length 2"),
-        (["exponent", "--scenario", P2, "--m-max", "0"], "m_max must be >= 1"),
         (["multiplicity", "--scenario", P2, "--k", "1", "--mu", "1,x"], "cannot parse weight '1,x'"),
         (["volume", "--scenario", P1, "--mu-range", "3..1"], "empty range '3..1'"),
         (["volume", "--scenario", P1, "--mu-range", "1-3"], "cannot parse range '1-3'"),
@@ -217,6 +213,11 @@ def test_mu_required(capsys):
         (["volume", "--scenario", P2, "--mu", "0", "--mu-range=0..2"], "volume takes --mu or --mu-range, not both"),
         (["predict", "--scenario", UNSTABLE, "--mu-range=abc"], "cannot parse range 'abc'"),
         (["classify", "--scenario", UNSTABLE, "--mu-range="], "cannot parse range ''"),
+        # a document that is not an object, a weight of the wrong length, a bad --m-max
+        (["classify", "--scenario", "LIST_DOC"], "scenario document must be an object"),
+        (["multiplicity", "--scenario", str(scenario_path("p1p1_diag")), "--k", "1", "--mu", "1,2,3"],
+         "weight (1, 2, 3) must have length 2"),
+        (["exponent", "--scenario", P2, "--m-max", "0"], "m_max must be >= 1"),
     ],
 )
 def test_bad_document_or_flag_is_input_error(tmp_path, capsys, argv, cause):
@@ -352,8 +353,6 @@ def _with(base, path, value):
         (_with(BASE, ("factors", 0, "weights"), [1, 0.5, -1]), "factors[0].weights"),
         (_with(BASE, ("bundle", "degrees"), 1), "bundle.degrees"),
         (_with(BASE, ("g",), True), "g"),
-        (_with(BASE, ("group",), "u1"), "group"),
-        (_with(BASE, ("factors", 0), {"weights": [1, 0, -1]}), "dim"),
         (_with(BASE, ("bundle", "degrees"), "1"), "bundle.degrees"),
         (_with(BASE, ("bundle", "degrees"), [True]), "bundle.degrees"),
         (_with(SU2_BASE, ("factors", 0, "sym_powers"), "3"), "factors[0].sym_powers"),
@@ -371,6 +370,9 @@ def _with(base, path, value):
         # a factor carrying the other group kind's field
         (_with(SU2_BASE, ("factors", 0, "weights"), [3, 1, -1, -3]), "factors[0].weights"),
         (_with(BASE, ("factors", 0), {"dim": 2, "sym_powers": [2]}), "weights"),
+        # an unknown group, a factor with no dim
+        (_with(BASE, ("group",), "u1"), "group"),
+        (_with(BASE, ("factors", 0), {"weights": [1, 0, -1]}), "dim"),
     ],
 )
 def test_mistyped_field_is_input_error(tmp_path, capsys, doc, field):
